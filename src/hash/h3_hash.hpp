@@ -74,8 +74,8 @@ class H3Hash final : public HashFunction
 
     /**
      * The matrix rows (one per output bit). Exposed so WayIndexer can
-     * flatten several ways' matrices into one contiguous table and
-     * evaluate them without virtual dispatch (hash/way_index.hpp).
+     * precompute per-byte lookup tables from them and evaluate the
+     * family without virtual dispatch (hash/way_index.hpp).
      */
     const std::vector<std::uint64_t>& rows() const { return rows_; }
 

@@ -10,10 +10,14 @@
  * folded-XOR, bit-select or the strong mixer) it copies the few words of
  * per-way state into flat contiguous tables and evaluates the family
  * with direct, inlinable code; otherwise it falls back to the virtual
- * interface. The virtual HashFunction hierarchy stays the source of
- * truth for factories and tests — WayIndexer is a pure evaluation
- * cache, and test_walk_equivalence.cpp proves both paths bit-identical
- * for every hash kind.
+ * interface. H3 goes one step further: it is linear over GF(2), so
+ * h(a) is the XOR of h(byte_k(a) << 8k) over the address's 8 bytes, and
+ * each way precomputes those 8 x 256 partial hashes once — a lookup is
+ * 8 table reads and XORs instead of one parity per output bit. The
+ * virtual HashFunction hierarchy stays the source of truth for
+ * factories and tests — WayIndexer is a pure evaluation cache, and
+ * test_walk_equivalence.cpp proves both paths bit-identical for every
+ * hash kind.
  *
  * Positions are returned in the array's flat BlockPos space:
  * way * linesPerWay + hash_way(addr).
@@ -21,6 +25,8 @@
 
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,22 +67,18 @@ class WayIndexer
         mask_ = lines_per_way - 1;
         outBits_ = log2Floor(lines_per_way);
 
-        mode_ = detect(hashes);
-        h3Rows_.clear();
+        mode_ = detect(hashes, outBits_);
+        h3Narrow_.clear();
+        h3Wide_.clear();
         salts_.clear();
         seeds_.clear();
         generic_.clear();
         switch (mode_) {
           case Mode::H3:
-            // Way-major flattened matrix: rows of way w start at
-            // w * outBits_.
-            h3Rows_.reserve(std::size_t{ways_} * outBits_);
-            for (const auto& h : hashes) {
-                const auto& rows =
-                    static_cast<const H3Hash&>(*h).rows();
-                zc_assert(rows.size() == outBits_);
-                h3Rows_.insert(h3Rows_.end(), rows.begin(), rows.end());
-            }
+            buildH3Tables(hashes, h3Narrow_);
+            break;
+          case Mode::H3Wide:
+            buildH3Tables(hashes, h3Wide_);
             break;
           case Mode::FoldedXor:
             for (const auto& h : hashes) {
@@ -107,7 +109,10 @@ class WayIndexer
         std::uint64_t h;
         switch (mode_) {
           case Mode::H3:
-            h = h3One(&h3Rows_[std::size_t{way} * outBits_], lineAddr);
+            h = h3One(&h3Narrow_[std::size_t{way} * kH3Table], lineAddr);
+            break;
+          case Mode::H3Wide:
+            h = h3One(&h3Wide_[std::size_t{way} * kH3Table], lineAddr);
             break;
           case Mode::FoldedXor:
             h = foldedOne(lineAddr + salts_[way]);
@@ -134,15 +139,12 @@ class WayIndexer
     positionsAll(Addr lineAddr, BlockPos* out) const
     {
         switch (mode_) {
-          case Mode::H3: {
-            const std::uint64_t* rows = h3Rows_.data();
-            for (std::uint32_t w = 0; w < ways_; w++) {
-                out[w] = static_cast<BlockPos>(
-                    w * linesPerWay_ + h3One(rows + std::size_t{w} * outBits_,
-                                             lineAddr));
-            }
+          case Mode::H3:
+            h3All(h3Narrow_.data(), lineAddr, out);
             return;
-          }
+          case Mode::H3Wide:
+            h3All(h3Wide_.data(), lineAddr, out);
+            return;
           case Mode::FoldedXor:
             for (std::uint32_t w = 0; w < ways_; w++) {
                 out[w] = static_cast<BlockPos>(
@@ -175,7 +177,8 @@ class WayIndexer
     modeName() const
     {
         switch (mode_) {
-          case Mode::H3: return "h3-batched";
+          case Mode::H3:
+          case Mode::H3Wide: return "h3-batched";
           case Mode::FoldedXor: return "fxor-batched";
           case Mode::BitSelect: return "bitsel-batched";
           case Mode::Strong: return "strong-batched";
@@ -186,14 +189,20 @@ class WayIndexer
     bool devirtualized() const { return mode_ != Mode::Generic; }
 
   private:
-    enum class Mode { Generic, H3, FoldedXor, BitSelect, Strong };
+    /** H3 splits by table entry width: uint16 up to 16 output bits. */
+    enum class Mode { Generic, H3, H3Wide, FoldedXor, BitSelect, Strong };
+
+    /** Entries per way: one 256-entry table per address byte. */
+    static constexpr std::size_t kH3Table = 8 * 256;
 
     static Mode
-    detect(const std::vector<HashPtr>& hashes)
+    detect(const std::vector<HashPtr>& hashes, std::uint32_t out_bits)
     {
         // Specialize only when every way is the same concrete type; a
         // mixed family (bespoke test fixtures) stays on the virtual path.
-        if (allOf<H3Hash>(hashes)) return Mode::H3;
+        if (allOf<H3Hash>(hashes)) {
+            return out_bits <= 16 ? Mode::H3 : Mode::H3Wide;
+        }
         if (allOf<FoldedXorHash>(hashes)) return Mode::FoldedXor;
         if (allOf<BitSelectHash>(hashes)) return Mode::BitSelect;
         if (allOf<StrongHash>(hashes)) return Mode::Strong;
@@ -210,17 +219,58 @@ class WayIndexer
         return true;
     }
 
-    // Mirrors H3Hash::hash() over a flattened row table.
-    std::uint64_t
-    h3One(const std::uint64_t* rows, Addr lineAddr) const
+    /**
+     * Build every way's byte tables, way-major: entry [w][b][v] is way
+     * w's H3 hash of the address whose only nonzero byte is byte b = v.
+     * Output bit i of an address is the parity of addr & rows[i], so
+     * that is the XOR of the matrix columns of v's set bits: entry v is
+     * entry v-without-its-lowest-bit XOR that bit's column.
+     */
+    template <typename T>
+    void
+    buildH3Tables(const std::vector<HashPtr>& hashes,
+                  std::vector<T>& tables) const
     {
-        std::uint64_t out = 0;
-        for (std::uint32_t i = 0; i < outBits_; i++) {
-            out |= static_cast<std::uint64_t>(popcount(lineAddr & rows[i]) &
-                                              1u)
-                   << i;
+        tables.reserve(ways_ * kH3Table);
+        for (const auto& h : hashes) {
+            const auto& rows = static_cast<const H3Hash&>(*h).rows();
+            zc_assert(rows.size() == outBits_);
+            for (std::uint32_t b = 0; b < 8; b++) {
+                std::size_t base = tables.size();
+                tables.push_back(0);
+                for (std::uint32_t v = 1; v < 256; v++) {
+                    std::uint32_t bit = 8 * b + std::countr_zero(v);
+                    std::uint64_t column = 0;
+                    for (std::size_t i = 0; i < rows.size(); i++) {
+                        column |= ((rows[i] >> bit) & 1) << i;
+                    }
+                    tables.push_back(static_cast<T>(
+                        tables[base + (v & (v - 1))] ^ column));
+                }
+            }
         }
-        return out;
+    }
+
+    // H3Hash::hash() by linearity: the XOR of the 8 bytes' partial hashes.
+    template <typename T>
+    static std::uint64_t
+    h3One(const T* t, Addr lineAddr)
+    {
+        std::uint64_t h = 0;
+        for (std::uint32_t b = 0; b < 8; b++) {
+            h ^= t[b * 256 + ((lineAddr >> (8 * b)) & 0xff)];
+        }
+        return h;
+    }
+
+    template <typename T>
+    void
+    h3All(const T* tables, Addr lineAddr, BlockPos* out) const
+    {
+        for (std::uint32_t w = 0; w < ways_; w++) {
+            out[w] = static_cast<BlockPos>(
+                w * linesPerWay_ + h3One(tables + w * kH3Table, lineAddr));
+        }
     }
 
     // Mirrors FoldedXorHash::hash() with the salt pre-added.
@@ -252,7 +302,8 @@ class WayIndexer
     std::uint32_t linesPerWay_ = 0;
     std::uint32_t outBits_ = 0;
     std::uint64_t mask_ = 0;
-    std::vector<std::uint64_t> h3Rows_; ///< way-major, ways * outBits rows
+    std::vector<std::uint16_t> h3Narrow_; ///< way-major byte tables, H3
+    std::vector<std::uint32_t> h3Wide_;   ///< same, for outBits_ > 16
     std::vector<std::uint64_t> salts_;  ///< folded-XOR additive constants
     std::vector<std::uint64_t> seeds_;  ///< strong-mixer seeds
     std::vector<const HashFunction*> generic_; ///< fallback (non-owning)

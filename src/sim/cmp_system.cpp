@@ -6,8 +6,24 @@
 
 namespace zc {
 
+namespace {
+
+/** Bank spec of @p cfg's L2 (seed aside). */
+ArraySpec
+bankSpec(const SystemConfig& cfg)
+{
+    ArraySpec spec = cfg.l2Spec;
+    spec.blocks = cfg.l2BankLines();
+    return spec;
+}
+
+} // namespace
+
 CmpSystem::CmpSystem(const SystemConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed, /*stream=*/0x14057b7ef767814fULL)
+    : cfg_(cfg),
+      // Inclusion bounds the directory by the lines the banks can hold.
+      directory_(std::size_t{policyBlocksFor(bankSpec(cfg))} * cfg.l2Banks),
+      rng_(cfg.seed, /*stream=*/0x14057b7ef767814fULL)
 {
     zc_assert(cfg.numCores >= 1 && cfg.numCores <= 64);
     zc_assert(isPow2(cfg.l2Banks));
@@ -25,8 +41,7 @@ CmpSystem::CmpSystem(const SystemConfig& cfg)
     bankLatency_ = bankCosts_.hitLatencyCycles;
 
     // Build the banks.
-    ArraySpec spec = cfg.l2Spec;
-    spec.blocks = cfg.l2BankLines();
+    ArraySpec spec = bankSpec(cfg);
     for (std::uint32_t b = 0; b < cfg.l2Banks; b++) {
         spec.seed = cfg.seed + 0x100 * (b + 1);
         banks_.push_back(makeArray(spec));
@@ -53,7 +68,6 @@ CmpSystem::CmpSystem(const SystemConfig& cfg)
         coreState_[c].codeBase =
             (Addr{1} << 52) + (Addr{c} << 24); // private code region
     }
-    directory_.reserve(cfg.l2SizeBytes / cfg.lineBytes);
 }
 
 void
@@ -94,43 +108,43 @@ CmpSystem::invalidateSharers(DirEntry& e, std::uint32_t except,
         if (c == except) continue;
         auto r = l1d_[c].invalidate(lineAddr);
         if (!r.present) l1i_[c].invalidate(lineAddr);
-        if (r.dirty) e.l2Dirty = true;
+        if (r.dirty) e.setL2Dirty(true);
         stats_.invalidations++;
     }
     e.sharers &= (except < 64) ? (std::uint64_t{1} << except) : 0;
-    e.exclusive = false;
+    e.setExclusive(false);
 }
 
 void
 CmpSystem::handleL2Eviction(Addr lineAddr)
 {
     stats_.l2Evictions++;
-    auto it = directory_.find(lineAddr);
-    if (it == directory_.end()) return;
+    DirEntry* e = directory_.find(lineAddr);
+    if (e == nullptr) return;
     // Inclusive L2: back-invalidate every L1 copy; fold dirty data.
-    invalidateSharers(it->second, /*except=*/~0u, lineAddr);
-    if (it->second.l2Dirty) {
+    invalidateSharers(*e, /*except=*/~0u, lineAddr);
+    if (e->l2Dirty()) {
         stats_.l2Writebacks++;
         stats_.dramAccesses++;
     }
-    directory_.erase(it);
+    directory_.erase(*e);
 }
 
 void
 CmpSystem::handleL1Victim(std::uint32_t core, const L1Cache::Victim& v)
 {
     if (!v.valid()) return;
-    auto it = directory_.find(v.addr);
-    if (it == directory_.end()) {
+    DirEntry* e = directory_.find(v.addr);
+    if (e == nullptr) {
         // The line was already evicted from the inclusive L2 (and this
         // L1 copy back-invalidated); a victim entry can still surface if
         // the back-invalidation raced the eviction in a real machine.
         // In this model it means the line is simply gone.
         return;
     }
-    it->second.sharers &= ~(std::uint64_t{1} << core);
+    e->sharers &= ~(std::uint64_t{1} << core);
     if (v.dirty) {
-        it->second.l2Dirty = true;
+        e->setL2Dirty(true);
         stats_.l1Writebacks++;
     }
 }
@@ -197,18 +211,18 @@ CmpSystem::l2Access(std::uint32_t core, Addr lineAddr, bool store,
         }
     }
 
-    DirEntry& e = directory_[lineAddr];
+    DirEntry& e = directory_.findOrInsert(lineAddr);
     if (store) {
         if (!e.sharers ||
             e.sharers != (std::uint64_t{1} << core)) {
             invalidateSharers(e, core, lineAddr);
         }
         e.sharers = std::uint64_t{1} << core;
-        e.exclusive = true;
-        e.l2Dirty = true;
+        e.setExclusive(true);
+        e.setL2Dirty(true);
         fill_exclusive = true;
     } else {
-        if (e.exclusive && e.sharers != (std::uint64_t{1} << core)) {
+        if (e.exclusive() && e.sharers != (std::uint64_t{1} << core)) {
             // Downgrade the current exclusive owner.
             std::uint64_t owners = e.sharers;
             while (owners != 0) {
@@ -216,14 +230,14 @@ CmpSystem::l2Access(std::uint32_t core, Addr lineAddr, bool store,
                     std::countr_zero(owners));
                 owners &= owners - 1;
                 if (o == core) continue;
-                if (l1d_[o].downgrade(lineAddr)) e.l2Dirty = true;
+                if (l1d_[o].downgrade(lineAddr)) e.setL2Dirty(true);
                 stats_.downgrades++;
             }
-            e.exclusive = false;
+            e.setExclusive(false);
         }
         e.sharers |= std::uint64_t{1} << core;
         if (e.sharers == (std::uint64_t{1} << core)) {
-            e.exclusive = true; // sole sharer: grant E
+            e.setExclusive(true); // sole sharer: grant E
             fill_exclusive = true;
         } else {
             fill_exclusive = false;
@@ -244,12 +258,12 @@ CmpSystem::dataAccess(std::uint32_t core, Addr lineAddr, bool store,
     if (st == L1Cache::LineState::Shared) {
         if (!store) return 0;
         // Upgrade: obtain exclusivity through the directory.
-        auto it = directory_.find(lineAddr);
-        zc_assert(it != directory_.end()); // inclusion invariant
-        invalidateSharers(it->second, core, lineAddr);
-        it->second.sharers = std::uint64_t{1} << core;
-        it->second.exclusive = true;
-        it->second.l2Dirty = true;
+        DirEntry* e = directory_.find(lineAddr);
+        zc_assert(e != nullptr); // inclusion invariant
+        invalidateSharers(*e, core, lineAddr);
+        e->sharers = std::uint64_t{1} << core;
+        e->setExclusive(true);
+        e->setL2Dirty(true);
         l1d_[core].markExclusive(lineAddr, true);
         stats_.upgrades++;
         return cfg_.upgradeCycles;

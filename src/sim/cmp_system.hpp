@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/array_factory.hpp"
@@ -31,6 +30,7 @@
 #include "common/rng.hpp"
 #include "energy/cacti_lite.hpp"
 #include "energy/system_energy.hpp"
+#include "sim/coherence_directory.hpp"
 #include "sim/config.hpp"
 #include "sim/l1_cache.hpp"
 #include "trace/generator.hpp"
@@ -187,13 +187,6 @@ class CmpSystem
     void registerStats(StatGroup& g);
 
   private:
-    struct DirEntry
-    {
-        std::uint64_t sharers = 0;
-        bool exclusive = false;
-        bool l2Dirty = false;
-    };
-
     struct CoreState
     {
         GeneratorPtr gen;
@@ -217,6 +210,8 @@ class CmpSystem
     /** Instruction-fetch modeling for @p n instructions on @p core. */
     std::uint32_t fetchInstructions(std::uint32_t core, std::uint64_t n);
 
+    using DirEntry = CoherenceDirectory::Entry;
+
     void invalidateSharers(DirEntry& e, std::uint32_t except, Addr lineAddr);
     void handleL2Eviction(Addr lineAddr);
     void handleL1Victim(std::uint32_t core, const L1Cache::Victim& v);
@@ -233,7 +228,7 @@ class CmpSystem
     std::vector<L1Cache> l1d_;
     std::vector<L1Cache> l1i_;
     std::vector<std::unique_ptr<CacheArray>> banks_;
-    std::unordered_map<Addr, DirEntry> directory_;
+    CoherenceDirectory directory_;
     Pcg32 rng_;
 
     // Walk-throttle token buckets (one tag op per idle bank cycle).

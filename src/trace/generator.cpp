@@ -19,9 +19,10 @@ ZipfGenerator::ZipfGenerator(Addr base, std::uint64_t footprint_lines,
     zc_assert(alpha >= 0.0);
 
     // Cumulative Zipf weights for inverse-transform sampling. For large
-    // footprints the table is capped and the tail treated as uniform:
-    // beyond a few hundred thousand lines the per-line probabilities are
-    // indistinguishable from uniform anyway.
+    // footprints the table is capped at the 2^20 hottest ranks and every
+    // draw is clamped to them: ranks beyond the cap are never drawn, so
+    // at most 2^20 distinct lines of the region are ever referenced (the
+    // permutation below scatters them over the whole region).
     std::uint64_t table = std::min<std::uint64_t>(footprint_lines, 1u << 20);
     cdf_.resize(table);
     double acc = 0.0;
@@ -69,27 +70,23 @@ PointerChaseGenerator::PointerChaseGenerator(Addr base,
     // Sattolo's algorithm builds a single cycle through all lines, so
     // the chase touches the whole footprint before any reuse.
     auto n = static_cast<std::uint32_t>(footprint_lines);
-    std::vector<std::uint32_t> perm(n);
-    for (std::uint32_t i = 0; i < n; i++) perm[i] = i;
+    perm_.resize(n);
+    for (std::uint32_t i = 0; i < n; i++) perm_[i] = i;
     Pcg32 rng(seed);
     for (std::uint32_t i = n - 1; i > 0; i--) {
         std::uint32_t j = rng.below(i);
-        std::swap(perm[i], perm[j]);
+        std::swap(perm_[i], perm_[j]);
     }
-    nextIdx_.resize(n);
-    for (std::uint32_t i = 0; i + 1 < n; i++) nextIdx_[perm[i]] = perm[i + 1];
-    nextIdx_[perm[n - 1]] = perm[0];
-    cur_ = perm[0];
 }
 
 MemRecord
 PointerChaseGenerator::next()
 {
     MemRecord r;
-    r.lineAddr = base_ + cur_;
+    r.lineAddr = base_ + perm_[cur_];
     if (++emitted_ >= repeat_) {
         emitted_ = 0;
-        cur_ = nextIdx_[cur_];
+        if (++cur_ == perm_.size()) cur_ = 0;
     }
     return r;
 }
@@ -97,9 +94,8 @@ PointerChaseGenerator::next()
 void
 PointerChaseGenerator::skip(std::uint64_t steps)
 {
-    // A jump of `steps mod n` suffices: the chase is one n-cycle.
-    steps %= nextIdx_.size();
-    for (std::uint64_t i = 0; i < steps; i++) cur_ = nextIdx_[cur_];
+    std::uint64_t n = perm_.size();
+    cur_ = static_cast<std::uint32_t>((cur_ + steps % n) % n);
 }
 
 // ---------------------------------------------------------------------
@@ -125,6 +121,11 @@ CompositeGenerator::CompositeGenerator(std::vector<MixComponent> components,
         cumWeights_.push_back(acc);
     }
     for (auto& w : cumWeights_) w /= acc;
+    // Geometric gap with the requested mean: p = 1/(1+mean).
+    if (meanInstGap_ > 0.0) {
+        double p = 1.0 / (1.0 + meanInstGap_);
+        logKeep_ = std::log(1.0 - p);
+    }
 }
 
 MemRecord
@@ -138,12 +139,9 @@ CompositeGenerator::next()
     r.type = (rng_.uniform() < storeFrac_) ? AccessType::Store
                                            : AccessType::Load;
 
-    // Geometric gap with the requested mean: p = 1/(1+mean).
     if (meanInstGap_ > 0.0) {
-        double p = 1.0 / (1.0 + meanInstGap_);
         double v = rng_.uniform();
-        auto gap = static_cast<std::uint32_t>(
-            std::log(1.0 - v) / std::log(1.0 - p));
+        auto gap = static_cast<std::uint32_t>(std::log(1.0 - v) / logKeep_);
         r.instGap = std::min<std::uint32_t>(gap, 10000);
     } else {
         r.instGap = 0;

@@ -140,6 +140,10 @@ class ZipfGenerator final : public AccessGenerator
  * Pointer-chase: walks a seeded random permutation cycle over the
  * region, one dependent line per step — canneal/mcf-style behaviour with
  * zero spatial locality and full-footprint reuse distance.
+ *
+ * The cycle is stored in visit order: Sattolo's permutation perm is
+ * one n-cycle perm[0] -> perm[1] -> ... -> perm[n-1] -> perm[0], so the
+ * chase is a cursor over perm and a skip is modular arithmetic.
  */
 class PointerChaseGenerator final : public AccessGenerator
 {
@@ -164,8 +168,8 @@ class PointerChaseGenerator final : public AccessGenerator
 
   private:
     Addr base_;
-    std::vector<std::uint32_t> nextIdx_;
-    std::uint32_t cur_ = 0;
+    std::vector<std::uint32_t> perm_; ///< lines in visit order
+    std::uint32_t cur_ = 0;           ///< index into perm_
     std::uint32_t repeat_;
     std::uint32_t emitted_ = 0;
 };
@@ -201,6 +205,7 @@ class CompositeGenerator final : public AccessGenerator
     std::vector<double> cumWeights_;
     double storeFrac_;
     double meanInstGap_;
+    double logKeep_ = 0.0; ///< log(1 - p) of the geometric gap
     Pcg32 rng_;
 };
 

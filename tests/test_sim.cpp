@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 
+#include "common/rng.hpp"
 #include "sim/cmp_system.hpp"
+#include "sim/coherence_directory.hpp"
+#include "sim/experiment.hpp"
 #include "sim/l1_cache.hpp"
 #include "trace/future_use.hpp"
 #include "trace/workloads.hpp"
@@ -85,6 +89,141 @@ TEST(L1, DowngradeClearsDirty)
     EXPECT_TRUE(l1.downgrade(3));
     EXPECT_EQ(l1.access(3, false), L1Cache::LineState::Shared);
     EXPECT_FALSE(l1.downgrade(3)); // now clean
+}
+
+// ---------------------------------------------------------------------
+// CoherenceDirectory
+// ---------------------------------------------------------------------
+
+/** The first @p n keys at or above @p from whose home slot is @p slot. */
+std::vector<Addr>
+keysHomedAt(const CoherenceDirectory& dir, std::size_t slot, int n,
+            Addr from = 0)
+{
+    std::vector<Addr> keys;
+    for (Addr k = from; static_cast<int>(keys.size()) < n; k++) {
+        if (dir.home(k) == slot) keys.push_back(k);
+    }
+    return keys;
+}
+
+TEST(CoherenceDirectory, SizedForHalfLoadWithSixteenByteSlots)
+{
+    EXPECT_EQ(sizeof(CoherenceDirectory::Entry), 16u);
+    EXPECT_EQ(CoherenceDirectory(1).capacity(), 2u);
+    EXPECT_EQ(CoherenceDirectory(8).capacity(), 16u);
+    EXPECT_EQ(CoherenceDirectory(9).capacity(), 32u);
+    // Table I: 8 MB of 64 B lines.
+    EXPECT_EQ(CoherenceDirectory(131072).capacity(), 262144u);
+}
+
+TEST(CoherenceDirectory, FlagsDoNotDisturbTheLine)
+{
+    CoherenceDirectory dir(4);
+    const Addr top = (Addr{1} << CoherenceDirectory::kLineBits) - 1;
+    for (Addr line : {Addr{0}, Addr{1} << 48, Addr{1} << 52, top}) {
+        CoherenceDirectory::Entry& e = dir.findOrInsert(line);
+        EXPECT_EQ(e.line(), line);
+        EXPECT_FALSE(e.exclusive());
+        EXPECT_FALSE(e.l2Dirty());
+        EXPECT_EQ(e.sharers, 0u);
+        e.setExclusive(true);
+        e.setL2Dirty(true);
+        e.sharers = ~std::uint64_t{0};
+        EXPECT_EQ(e.line(), line);
+        e.setExclusive(false);
+        EXPECT_TRUE(e.l2Dirty());
+        EXPECT_EQ(dir.find(line), &e);
+    }
+    EXPECT_EQ(dir.size(), 4u);
+}
+
+// Backward-shift deletion across the table's end: a chain homed at the
+// last slot wraps to slot 0, and erasing its head must pull the
+// wrapped entries back so each stays reachable from its home.
+TEST(CoherenceDirectory, EraseShiftsWrappedChainBack)
+{
+    CoherenceDirectory dir(8); // 16 slots
+    const std::size_t last = dir.capacity() - 1;
+    std::vector<Addr> tail = keysHomedAt(dir, last, 4);
+    std::vector<Addr> head = keysHomedAt(dir, 0, 2);
+    for (Addr k : tail) dir.findOrInsert(k).sharers = k;
+    for (Addr k : head) dir.findOrInsert(k).sharers = k;
+    for (std::size_t i = 0; i < tail.size(); i++) {
+        dir.erase(*dir.find(tail[i]));
+        EXPECT_EQ(dir.find(tail[i]), nullptr);
+        for (std::size_t j = i + 1; j < tail.size(); j++) {
+            ASSERT_NE(dir.find(tail[j]), nullptr) << i << "," << j;
+            EXPECT_EQ(dir.find(tail[j])->sharers, tail[j]);
+        }
+        for (Addr k : head) {
+            ASSERT_NE(dir.find(k), nullptr) << i;
+            EXPECT_EQ(dir.find(k)->sharers, k);
+        }
+    }
+    EXPECT_EQ(dir.size(), head.size());
+}
+
+// Random insert/find/erase against std::unordered_map. The key pool is
+// built so that most keys collide on a few home slots, two of them the
+// last two slots (wraparound), plus addresses with high bits set.
+TEST(CoherenceDirectory, MatchesUnorderedMapOracle)
+{
+    struct State
+    {
+        std::uint64_t sharers;
+        bool exclusive;
+        bool dirty;
+    };
+    for (std::size_t lines : {std::size_t{8}, std::size_t{64}}) {
+        CoherenceDirectory dir(lines);
+        const std::size_t cap = dir.capacity();
+        std::vector<Addr> pool;
+        for (std::size_t slot : {cap - 1, cap - 2, std::size_t{0}, cap / 2}) {
+            for (Addr k : keysHomedAt(dir, slot, 6)) pool.push_back(k);
+        }
+        for (Addr k : keysHomedAt(dir, cap - 1, 3, Addr{1} << 48)) {
+            pool.push_back(k);
+        }
+        for (Addr k : keysHomedAt(dir, 1, 3, Addr{1} << 52)) {
+            pool.push_back(k);
+        }
+        pool.push_back((Addr{1} << CoherenceDirectory::kLineBits) - 1);
+        Pcg32 rng(lines);
+        while (pool.size() < 4 * lines) pool.push_back(rng.next64() >> 8);
+
+        std::unordered_map<Addr, State> oracle;
+        for (int op = 0; op < 200000; op++) {
+            Addr k = pool[rng.below(static_cast<std::uint32_t>(pool.size()))];
+            auto it = oracle.find(k);
+            CoherenceDirectory::Entry* e = dir.find(k);
+            ASSERT_EQ(e != nullptr, it != oracle.end()) << "op " << op;
+            if (e != nullptr) {
+                ASSERT_EQ(e->line(), k);
+                ASSERT_EQ(e->sharers, it->second.sharers);
+                ASSERT_EQ(e->exclusive(), it->second.exclusive);
+                ASSERT_EQ(e->l2Dirty(), it->second.dirty);
+            }
+            std::uint32_t kind = rng.below(3);
+            if (kind == 0 && e != nullptr) {
+                dir.erase(*e);
+                oracle.erase(it);
+            } else if (kind == 1 &&
+                       (e != nullptr || dir.size() < cap / 2)) {
+                CoherenceDirectory::Entry& f = dir.findOrInsert(k);
+                State st{rng.next64(), rng.below(2) == 1,
+                         rng.below(2) == 1};
+                f.sharers = st.sharers;
+                f.setExclusive(st.exclusive);
+                f.setL2Dirty(st.dirty);
+                oracle[k] = st;
+            }
+            ASSERT_EQ(dir.size(), oracle.size()) << "op " << op;
+        }
+        for (Addr k : pool) {
+            EXPECT_EQ(dir.find(k) != nullptr, oracle.count(k) == 1);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -324,6 +463,38 @@ TEST(Cmp, OptBeatsLruOnMisses)
     };
     EXPECT_LT(misses_for(PolicyKind::Opt),
               misses_for(PolicyKind::BucketedLru));
+}
+
+// Inclusion: a directory entry exists exactly while its line is
+// resident in some L2 bank, so after a run the live count equals the
+// banks' valid blocks.
+TEST(Cmp, DirectoryEntriesMatchL2Residency)
+{
+    for (std::uint32_t ways : {4u, 16u}) {
+        RunParams p;
+        p.workload = "canneal";
+        p.l2Spec.kind = ways == 4 ? ArrayKind::ZCache : ArrayKind::SetAssoc;
+        p.l2Spec.ways = ways; // Z4/52 and SA-16
+        p.l2Spec.levels = 3;
+        p.l2Spec.policy = PolicyKind::BucketedLru;
+        p.base.l2SizeBytes = 1 << 20; // small enough to evict
+        p.warmupInstr = 20000;
+        p.measureInstr = 20000;
+        RunResult r = runExperiment(p);
+        const JsonValue* sys = r.stats.find("system");
+        ASSERT_NE(sys, nullptr);
+        const JsonValue* l2 = sys->find("l2");
+        EXPECT_GT(l2->find("evictions")->asU64(), 0u);
+        std::uint64_t valid = 0;
+        for (std::uint32_t b = 0; b < p.base.l2Banks; b++) {
+            valid += l2->find("bank" + std::to_string(b))
+                         ->find("valid_blocks")
+                         ->asU64();
+        }
+        EXPECT_GT(valid, 0u);
+        EXPECT_EQ(sys->find("coherence")->find("entries")->asU64(), valid)
+            << ways << " ways";
+    }
 }
 
 } // namespace

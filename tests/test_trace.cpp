@@ -93,6 +93,79 @@ TEST(PointerChase, SkipAdvancesPhase)
     EXPECT_EQ(a.next().lineAddr, b.next().lineAddr);
 }
 
+// ---------------------------------------------------------------------
+// Golden streams: checksums of the exact record sequences, pinned so a
+// change to a generator's internals cannot silently change what the
+// simulator is fed.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+streamChecksum(AccessGenerator& g, std::size_t n)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ULL;
+        h ^= h >> 29;
+    };
+    for (std::size_t i = 0; i < n; i++) {
+        MemRecord r = g.next();
+        mix(r.lineAddr);
+        mix(r.instGap);
+        mix(static_cast<std::uint64_t>(r.type));
+        mix(r.nextUse);
+    }
+    return h;
+}
+
+TEST(GoldenStream, PointerChase)
+{
+    struct Case
+    {
+        std::uint32_t repeat;
+        std::uint64_t skip;
+        std::uint64_t sum;
+    };
+    const std::uint64_t n = 50021;
+    const Case cases[] = {
+        {1, 0, 0x65b60701bc4d2efcULL},
+        {1, 7, 0x68366de6806a6123ULL},
+        {1, n - 1, 0xa8e4e3b70afe58e3ULL},
+        {1, 3 * n + 5, 0x77d881a316960445ULL},
+        {3, 0, 0x9120ec2a0519af45ULL},
+        {3, 7, 0x171b90fa8dd40099ULL},
+        {3, n - 1, 0x15abe97b85e7f37cULL},
+        {3, 3 * n + 5, 0xf5f6609b61f03b36ULL},
+    };
+    for (const Case& c : cases) {
+        PointerChaseGenerator g(Addr{1} << 40, n, 77, c.repeat);
+        g.skip(c.skip);
+        EXPECT_EQ(streamChecksum(g, 200000), c.sum)
+            << "repeat " << c.repeat << " skip " << c.skip;
+    }
+}
+
+TEST(GoldenStream, CoreGenerators)
+{
+    struct Case
+    {
+        const char* workload;
+        std::uint32_t core;
+        std::uint64_t sum;
+    };
+    const Case cases[] = {
+        {"mcf", 0, 0xe3f4356667d7f220ULL},
+        {"mcf", 31, 0x1e15dca8af1d7b91ULL},
+        {"canneal", 0, 0x4492dabfce399c10ULL},
+        {"canneal", 31, 0xc8ed55e80fb26bb6ULL},
+    };
+    for (const Case& c : cases) {
+        auto g = WorkloadRegistry::makeCoreGenerator(
+            WorkloadRegistry::byName(c.workload), c.core, 32, 5);
+        EXPECT_EQ(streamChecksum(*g, 200000), c.sum)
+            << c.workload << " core " << c.core;
+    }
+}
+
 TEST(Composite, MixesComponentsByWeight)
 {
     std::vector<MixComponent> comps;

@@ -292,30 +292,47 @@ TEST(WalkEquivalence, CompressedNullCodecRatio1IsBitIdentical)
 // path, and (b) agree with the virtual hashes on every way for a large
 // random address sample — including the batched positionsAll entry
 // point the walk actually uses.
+// Every width from a 2-line way up to 2^17 lines per way, so H3 runs on
+// both its uint16 (<= 16 output bits) and uint32 byte tables, over
+// random addresses and addresses with high bits set (the shared-data
+// and code regions, and the top of the address space).
 TEST(WayIndexer, MatchesVirtualHashesForEveryKind)
 {
-    const std::uint32_t ways = 4, lines = 256;
-    for (HashKind hk : kAllHashKinds) {
-        auto fam = makeHashFamily(hk, ways, lines, 0x5eed);
-        WayIndexer idx(fam, lines);
-        if (hk == HashKind::Sha1) {
-            EXPECT_FALSE(idx.devirtualized());
-            EXPECT_STREQ(idx.modeName(), "generic-virtual");
-        } else {
-            EXPECT_TRUE(idx.devirtualized()) << hashKindName(hk);
-        }
-        Pcg32 rng(11);
-        std::vector<BlockPos> batched(ways);
-        for (int i = 0; i < 20000; i++) {
-            Addr a = rng.next64();
-            idx.positionsAll(a, batched.data());
-            for (std::uint32_t w = 0; w < ways; w++) {
-                BlockPos want = static_cast<BlockPos>(
-                    w * lines + fam[w]->hash(a));
-                ASSERT_EQ(idx.position(w, a), want)
-                    << hashKindName(hk) << " way " << w << " addr " << a;
-                ASSERT_EQ(batched[w], want)
-                    << hashKindName(hk) << " way " << w << " addr " << a;
+    const std::uint32_t ways = 4;
+    const std::uint32_t widths[] = {2, 256, 4096, 1u << 16, 1u << 17};
+    for (std::uint32_t lines : widths) {
+        for (HashKind hk : kAllHashKinds) {
+            auto fam = makeHashFamily(hk, ways, lines, 0x5eed);
+            WayIndexer idx(fam, lines);
+            if (hk == HashKind::Sha1) {
+                EXPECT_FALSE(idx.devirtualized());
+                EXPECT_STREQ(idx.modeName(), "generic-virtual");
+            } else {
+                EXPECT_TRUE(idx.devirtualized()) << hashKindName(hk);
+            }
+            std::vector<Addr> addrs = {0,
+                                       1,
+                                       Addr{1} << 48,
+                                       (Addr{1} << 48) + 12345,
+                                       Addr{1} << 52,
+                                       (Addr{1} << 52) + (Addr{31} << 24),
+                                       ~0ull - 1,
+                                       ~0ull};
+            Pcg32 rng(11);
+            for (int i = 0; i < 20000; i++) addrs.push_back(rng.next64());
+            std::vector<BlockPos> batched(ways);
+            for (Addr a : addrs) {
+                idx.positionsAll(a, batched.data());
+                for (std::uint32_t w = 0; w < ways; w++) {
+                    BlockPos want = static_cast<BlockPos>(
+                        w * lines + fam[w]->hash(a));
+                    ASSERT_EQ(idx.position(w, a), want)
+                        << hashKindName(hk) << " lines " << lines << " way "
+                        << w << " addr " << a;
+                    ASSERT_EQ(batched[w], want)
+                        << hashKindName(hk) << " lines " << lines << " way "
+                        << w << " addr " << a;
+                }
             }
         }
     }
