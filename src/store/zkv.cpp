@@ -1,7 +1,8 @@
 /**
  * @file
  * ZkvStore implementation: the value-mirroring policy decorator and the
- * shard operations built on the simulator's CacheArray protocol.
+ * one shard-op kernel every client op runs through, built on the
+ * simulator's CacheArray protocol.
  */
 
 #include "store/zkv.hpp"
@@ -165,8 +166,6 @@ class ValueMirror final : public ReplacementPolicy
 
     std::string name() const override { return inner_->name(); }
 
-    void setPending(std::uint64_t v) { pending_ = v; }
-
     std::uint64_t
     valueAt(BlockPos pos) const
     {
@@ -181,43 +180,41 @@ class ValueMirror final : public ReplacementPolicy
         return keys_[pos].load(std::memory_order_relaxed);
     }
 
-    void
-    setValue(BlockPos pos, std::uint64_t v)
-    {
-        values_[pos].store(v, std::memory_order_relaxed);
-    }
-
     std::uint64_t lastEvicted() const { return lastEvicted_; }
 
-    // ---- bytes mode (shard lock held for all of these) -------------
-
-    /** Stage the compressed payload for the next onInsert, counting
-     *  the compression in the shard's accounting. */
+    /**
+     * Stage the next onInsert's payload: @p v, plus in bytes mode the
+     * compressed payload @p comp (moved from) of @p rawLen raw bytes,
+     * counted in the shard's compression accounting.
+     */
     void
-    stagePendingBytes(std::vector<std::uint8_t> compressed,
-                      std::uint32_t rawLen)
+    setPending(std::uint64_t v, std::vector<std::uint8_t>* comp = nullptr,
+               std::size_t rawLen = 0)
     {
-        comp_.compressCalls++;
-        comp_.rawBytesTotal += rawLen;
-        comp_.storedBytesTotal += compressed.size();
-        pendingBytes_ = std::move(compressed);
-        pendingRawLen_ = rawLen;
+        pending_ = v;
+        if (!bytesMode_) return;
+        countCompress(*comp, rawLen);
+        pendingBytes_ = std::move(*comp);
+        pendingRawLen_ = static_cast<std::uint32_t>(rawLen);
     }
 
-    /** Update-in-place twin of stagePendingBytes. */
+    /** Update-in-place twin of setPending for the entry at @p pos. */
     void
-    setValueBytes(BlockPos pos, std::vector<std::uint8_t> compressed,
-                  std::uint32_t rawLen)
+    setValue(BlockPos pos, std::uint64_t v,
+             std::vector<std::uint8_t>* comp = nullptr,
+             std::size_t rawLen = 0)
     {
-        comp_.compressCalls++;
-        comp_.rawBytesTotal += rawLen;
-        comp_.storedBytesTotal += compressed.size();
+        values_[pos].store(v, std::memory_order_relaxed);
+        if (!bytesMode_) return;
+        countCompress(*comp, rawLen);
         dropResident(pos);
-        bytes_[pos] = std::move(compressed);
-        rawLens_[pos] = rawLen;
+        bytes_[pos] = std::move(*comp);
+        rawLens_[pos] = static_cast<std::uint32_t>(rawLen);
         comp_.residentRawBytes += rawLen;
         comp_.residentStoredBytes += bytes_[pos].size();
     }
+
+    // ---- bytes mode (shard lock held for all of these) -------------
 
     const std::vector<std::uint8_t>&
     bytesAt(BlockPos pos) const
@@ -230,6 +227,14 @@ class ValueMirror final : public ReplacementPolicy
     const ZkvCompressionStats& compressionStats() const { return comp_; }
 
   private:
+    void
+    countCompress(const std::vector<std::uint8_t>& comp, std::size_t rawLen)
+    {
+        comp_.compressCalls++;
+        comp_.rawBytesTotal += rawLen;
+        comp_.storedBytesTotal += comp.size();
+    }
+
     void
     dropResident(BlockPos pos)
     {
@@ -262,7 +267,7 @@ struct ZkvStore::Shard
     std::unique_ptr<CacheArray> array;
     ValueMirror* mirror = nullptr; ///< owned by array's policy chain
     ZkvShardStats stats;
-    ZkvShardObs obs; ///< written only on the instrumented op paths
+    ZkvShardObs obs; ///< written only by ObsProbe (obs enabled)
     ZkvSeqCounters seqc; ///< lock-free read-path counters (relaxed)
 
     /**
@@ -362,12 +367,6 @@ ZkvStore::create(const ZkvConfig& cfg)
 }
 
 std::uint32_t
-ZkvStore::numShards() const
-{
-    return cfg_.shards;
-}
-
-std::uint32_t
 ZkvStore::shardOf(std::uint64_t key) const
 {
     // splitmix64 over (key, store seed): independent of the H3 way
@@ -377,22 +376,433 @@ ZkvStore::shardOf(std::uint64_t key) const
                                       cfg_.shards);
 }
 
+/*
+ * ---- client ops ----------------------------------------------------
+ *
+ * Every get, put and erase — single or batched, u64 or bytes, traced
+ * or not — runs through one kernel, applyLocked(), with the shard lock
+ * held. Around it, entry points only pick the tracing policy, take the
+ * lock (or try the optimistic prelude first), compress bytes-mode puts
+ * before the lock and wait for durability after it.
+ */
+
+/** One client op as the kernel sees it. Owns nothing, so single u64
+ *  ops build it on the stack for free. */
+struct ZkvStore::ShardOp
+{
+    ObsOp kind = ObsOp::Get;
+    std::uint64_t key = 0;
+    std::uint64_t value = 0; ///< u64 put value
+
+    /** Bytes mode only: a put's compressed payload (the kernel moves
+     *  it into the shard) or the buffer a get decodes into. */
+    std::vector<std::uint8_t>* bytes = nullptr;
+    std::size_t rawLen = 0; ///< bytes-mode put: pre-codec length
+
+    std::uint64_t enqueueNs = 0; ///< see StoreBatchOp::enqueueNs
+};
+
+/** What the kernel reports for one op. */
+struct ZkvStore::OpResult
+{
+    ErrorCode code = ErrorCode::Ok;
+    bool hit = false;        ///< get/erase found the key, put updated
+    std::uint64_t value = 0; ///< u64 get hit
+    PutResult put;
+    std::uint64_t pseq = 0; ///< durability seqno to wait for; 0 = none
+};
+
+/** Tracing policy of an untraced op: every member is empty. */
+struct ZkvStore::NullProbe
+{
+    NullProbe(std::span<ObsOpRecord>, std::uint32_t) {}
+    void at(std::size_t) {}
+    void preludeBegin(const ShardOp&) {}
+    void preludeEnd(bool, std::uint32_t, bool) {}
+    void lock(ShardLock& l) { l.lock(); }
+    void opBegin(const ShardOp&) {}
+    void probed() {}
+    void walked(const Replacement&) {}
+    void opEnd(ZkvShardObs&, const OpResult&) {}
+    void publish(ObsTracer*) {}
+};
+
+/**
+ * Tracing policy of an instrumented op (docs/telemetry.md): fills one
+ * ObsOpRecord per op — net, lock_wait, probe and walk phases — adds
+ * the phases to the shard's ZkvShardObs, and pushes the records to
+ * the tracer once the shard lock is released. One lock acquisition
+ * serves a whole batch: its wait is charged to the first op, and each
+ * later op's phases start where the previous op ended.
+ */
+class ZkvStore::ObsProbe
+{
+  public:
+    ObsProbe(std::span<ObsOpRecord> recs, std::uint32_t shard)
+        : recs_(recs), cur_(recs.data()),
+          shard_(static_cast<std::uint16_t>(shard))
+    {
+    }
+
+    /** Select the record of the batch's @p i-th op. */
+    void at(std::size_t i) { cur_ = &recs_[i]; }
+
+    /** Lock-free optimistic attempt: one probe phase, no lock. */
+    void
+    preludeBegin(const ShardOp& op)
+    {
+        tOp_ = obsNowNs();
+        start(op, tOp_);
+        cur_->flags |= kObsFlagOptimistic;
+    }
+
+    /** Gets never walk, so `candidates` carries the seq retries. */
+    void
+    preludeEnd(bool answered, std::uint32_t retries, bool hit)
+    {
+        cur_->candidates = retries;
+        if (!answered) {
+            cur_->flags |= kObsFlagSeqFallback;
+            return;
+        }
+        const std::uint64_t tEnd = obsNowNs();
+        cur_->probeNs = obsDurNs(tOp_, tEnd);
+        cur_->durNs = obsDurNs(cur_->tsBeginNs, tEnd);
+        if (hit) cur_->flags |= kObsFlagHit;
+    }
+
+    void
+    lock(ShardLock& l)
+    {
+        tBatch_ = obsNowNs();
+        acq_ = l.lockInstrumented();
+        // Timestamp the acquire only when it contended: an uncontended
+        // lock costs ~15 ns, below the clock's own resolution, and
+        // skipping the read saves one of the 3-4 timestamps per op
+        // (docs/telemetry.md overhead table). The acquire cost folds
+        // into the first op's probe phase in that case.
+        tLocked_ = acq_.contended ? obsNowNs() : tBatch_;
+        cursor_ = tLocked_;
+        first_ = true;
+    }
+
+    void
+    opBegin(const ShardOp& op)
+    {
+        // A get that fell back from the prelude keeps its begin stamp.
+        if (!(cur_->flags & kObsFlagSeqFallback)) {
+            start(op, first_ ? tBatch_ : cursor_);
+        }
+        if (first_ && acq_.contended) {
+            cur_->lockWaitNs = obsDurNs(tBatch_, tLocked_);
+        }
+        tOp_ = cursor_;
+        tWalkEnd_ = 0;
+    }
+
+    /** A put's probe is done and its insert walk begins. */
+    void
+    probed()
+    {
+        tProbed_ = obsNowNs();
+        cur_->probeNs = obsDurNs(tOp_, tProbed_);
+    }
+
+    void
+    walked(const Replacement& r)
+    {
+        tWalkEnd_ = obsNowNs();
+        cur_->walkNs = obsDurNs(tProbed_, tWalkEnd_);
+        cur_->candidates = r.candidates;
+        cur_->relocations = r.relocations;
+    }
+
+    void
+    opEnd(ZkvShardObs& obs, const OpResult& res)
+    {
+        ObsOpRecord& r = *cur_;
+        std::uint64_t tEnd = tWalkEnd_;
+        if (tEnd == 0) {
+            // No walk: the whole locked section is the probe phase.
+            tEnd = obsNowNs();
+            r.probeNs = obsDurNs(tOp_, tEnd);
+        }
+        r.durNs = obsDurNs(r.tsBeginNs, tEnd);
+        if (res.hit) r.flags |= kObsFlagHit;
+        if (res.put.inserted) r.flags |= kObsFlagInserted;
+        if (res.put.evicted) r.flags |= kObsFlagEvicted;
+        if (res.code != ErrorCode::Ok) r.flags |= kObsFlagError;
+        cursor_ = tEnd;
+        if (first_) {
+            obs.lockAcquisitions++;
+            obs.lockContended += acq_.contended ? 1 : 0;
+            obs.lockSpinIters += acq_.spins;
+            first_ = false;
+        }
+        obs.lockWaitNs += r.lockWaitNs;
+        obs.netNs += r.netNs;
+        obs.probeNs += r.probeNs;
+        obs.walkNs += r.walkNs;
+        obs.opNs += r.durNs;
+    }
+
+    void
+    publish(ObsTracer* tracer)
+    {
+        if (tracer == nullptr) return;
+        ObsThreadChannel* ch = tracer->channel();
+        for (const ObsOpRecord& r : recs_) ch->record(r);
+    }
+
+  private:
+    /** The span starts when the request finished frame decode (when
+     *  known): queueing up to @p tDispatch is the `net` phase. */
+    void
+    start(const ShardOp& op, std::uint64_t tDispatch)
+    {
+        ObsOpRecord& r = *cur_;
+        r.op = op.kind;
+        r.key = op.key;
+        r.shard = shard_;
+        r.tsBeginNs = op.enqueueNs != 0 && op.enqueueNs < tDispatch
+                          ? op.enqueueNs
+                          : tDispatch;
+        r.netNs = obsDurNs(r.tsBeginNs, tDispatch);
+    }
+
+    std::span<ObsOpRecord> recs_;
+    ObsOpRecord* cur_;
+    std::uint16_t shard_;
+    ShardLock::Acquire acq_{};
+    bool first_ = true;
+    std::uint64_t tBatch_ = 0;
+    std::uint64_t tLocked_ = 0;
+    std::uint64_t cursor_ = 0;
+    std::uint64_t tOp_ = 0;
+    std::uint64_t tProbed_ = 0;
+    std::uint64_t tWalkEnd_ = 0;
+};
+
+template <class Probe>
+void
+ZkvStore::applyLocked(Shard& sh, std::uint32_t shard, const ShardOp& op,
+                      OpResult& out, Probe& probe)
+{
+    probe.opBegin(op);
+    AccessContext ctx{op.key, kNoNextUse};
+    switch (op.kind) {
+      case ObsOp::Get: {
+        sh.stats.gets++;
+        // The reserved key is the empty-slot tag: never resident, and
+        // never handed to the array, where it would match an empty slot.
+        if (op.key == kReservedKey) break;
+        // Optimistic-mode gets never promote, whichever path answers.
+        BlockPos pos = cfg_.readPath == ReadPath::Optimistic
+                           ? sh.array->probe(op.key)
+                           : sh.array->access(op.key, ctx);
+        if (pos == kInvalidPos) break;
+        sh.stats.getHits++;
+        if (op.bytes == nullptr) {
+            out.hit = true;
+            out.value = sh.mirror->valueAt(pos);
+            break;
+        }
+        const std::vector<std::uint8_t>& stored = sh.mirror->bytesAt(pos);
+        std::vector<std::uint8_t>& dst = *op.bytes;
+        dst.resize(cfg_.value.maxBytes);
+        sh.mirror->noteDecompress();
+        auto len_or = codec_->decompress(stored.data(), stored.size(),
+                                         dst.data(), dst.size());
+        if (!len_or) {
+            // Corrupt stream (or the compress.codec fault site): a
+            // structured failure, never torn bytes.
+            dst.clear();
+            out.code = ErrorCode::Corruption;
+            break;
+        }
+        dst.resize(*len_or);
+        out.hit = true;
+        break;
+      }
+      case ObsOp::Put: {
+        if (op.key == kReservedKey || op.rawLen > cfg_.value.maxBytes) {
+            out.code = ErrorCode::InvalidArgument;
+            break;
+        }
+        sh.stats.puts++;
+        BlockPos pos = sh.array->access(op.key, ctx);
+        if (pos != kInvalidPos) {
+            {
+                Shard::WriteSection ws(sh);
+                sh.mirror->setValue(pos, op.value, op.bytes, op.rawLen);
+            }
+            sh.stats.putUpdates++;
+            out.hit = true;
+        } else {
+            if (ZC_INJECT_FAULT("store.walk")) {
+                out.code = ErrorCode::ResourceExhausted;
+                break;
+            }
+            sh.mirror->setPending(op.value, op.bytes, op.rawLen);
+            probe.probed();
+            Replacement r = [&] {
+                Shard::WriteSection ws(sh);
+                return sh.array->insert(op.key, ctx);
+            }();
+            probe.walked(r);
+            PutResult& res = out.put;
+            res.inserted = true;
+            res.candidates = r.candidates;
+            res.relocations = r.relocations;
+            sh.stats.putInserts++;
+            sh.stats.walkCandidates += r.candidates;
+            sh.stats.relocations += r.relocations;
+            if (r.evictedValid()) {
+                // In bytes mode the victim's payload dies compressed and
+                // evictedValue stays 0.
+                res.evicted = true;
+                res.evictedKey = r.evictedAddr;
+                res.evictedValue = sh.mirror->lastEvicted();
+                sh.stats.evictions++;
+            }
+        }
+        if (persist_ != nullptr) {
+            // Evict-then-put is the apply order: replaying the two
+            // records leaves exactly this shard state.
+            if (out.put.evicted) persist_->logEvict(shard, out.put.evictedKey);
+            out.pseq = persist_->logPut(shard, op.key, op.value);
+        }
+        break;
+      }
+      case ObsOp::Erase: {
+        sh.stats.erases++;
+        if (op.key == kReservedKey) break;
+        {
+            Shard::WriteSection ws(sh);
+            out.hit = sh.array->invalidate(op.key);
+        }
+        if (!out.hit) break;
+        sh.stats.eraseHits++;
+        if (persist_ != nullptr) out.pseq = persist_->logErase(shard, op.key);
+        break;
+      }
+    }
+    probe.opEnd(sh.obs, out);
+}
+
+/*
+ * ---- optimistic read path (ReadPath::Optimistic, docs/store.md) ----
+ *
+ * The reader computes the key's W candidate positions itself
+ * (CacheArray::lookupWays is a pure function of the key and the hash
+ * matrices — a resident block is always in one of them, Section III-A)
+ * and scans the ValueMirror's relaxed atomic key/value mirrors between
+ * a ShardSeq readBegin/readValidate pair. Any overlap with a writer's
+ * odd window discards the snapshot and retries; after
+ * kSeqGetMaxRetries the get is answered by the kernel under the shard
+ * lock, with probe() rather than access(): an optimistic-mode shard's
+ * eviction order is a pure function of its put/erase sequence,
+ * whichever path answers a get.
+ */
+
+template <class Probe>
+bool
+ZkvStore::tryOptimisticGet(Shard& sh, const ShardOp& op, OpResult& out,
+                           Probe& probe)
+{
+    probe.preludeBegin(op);
+    std::uint32_t retries = 0;
+    // The reserved key is the empty-slot tag: a miss without a scan.
+    bool answered = op.key == kReservedKey;
+    BlockPos pos[kMaxLookupWays];
+    const std::uint32_t ways =
+        answered ? 0 : sh.array->lookupWays(op.key, pos, kMaxLookupWays);
+    while (!answered && retries <= kSeqGetMaxRetries) {
+        // An odd seq means a writer is mid-section: probing now could
+        // only be wasted work, so count the retry and re-snapshot.
+        const std::uint64_t begin = sh.seq.readBegin();
+        std::uint32_t w = begin & 1 ? ways : 0;
+        while (w < ways && sh.mirror->keyAt(pos[w]) != op.key) w++;
+        const bool hit = w < ways;
+        const std::uint64_t value = hit ? sh.mirror->valueAt(pos[w]) : 0;
+        if (!(begin & 1) && sh.seq.readValidate(begin)) {
+            out.hit = hit;
+            out.value = value;
+            answered = true;
+        } else {
+            retries++;
+        }
+    }
+    if (retries != 0) {
+        sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
+    }
+    if (answered) {
+        sh.seqc.gets.fetch_add(1, std::memory_order_relaxed);
+        sh.seqc.optimistic.fetch_add(1, std::memory_order_relaxed);
+        if (out.hit) sh.seqc.getHits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        sh.seqc.fallback.fetch_add(1, std::memory_order_relaxed);
+    }
+    probe.preludeEnd(answered, retries, out.hit);
+    return answered;
+}
+
+template <class Probe>
+Status
+ZkvStore::runOne(const ShardOp& op, OpResult& out)
+{
+    const std::uint32_t shard = shardOf(op.key);
+    Shard& sh = *shards_[shard];
+    ObsOpRecord rec; // NullProbe ignores it; dead code when untraced
+    Probe probe(std::span<ObsOpRecord>(&rec, 1), shard);
+    if (op.kind == ObsOp::Get && cfg_.readPath == ReadPath::Optimistic &&
+        tryOptimisticGet(sh, op, out, probe)) {
+        probe.publish(tracer_);
+        return Status::ok();
+    }
+    probe.lock(sh.lock);
+    {
+        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
+        applyLocked(sh, shard, op, out, probe);
+    }
+    probe.publish(tracer_);
+    // Group-commit wait happens after the lock is released so the
+    // shard stays available to other threads during the fsync.
+    if (out.pseq == 0) return Status::ok();
+    return persist_->waitDurable(shard, out.pseq);
+}
+
+Status
+ZkvStore::opError(const ShardOp& op, ErrorCode code) const
+{
+    const std::string key = "zkv: key " + std::to_string(op.key);
+    if (code == ErrorCode::ResourceExhausted) {
+        return Status(code, "zkv: injected relocation-walk failure (site "
+                            "store.walk, shard " +
+                                std::to_string(shardOf(op.key)) + ")");
+    }
+    if (code != ErrorCode::InvalidArgument) {
+        return Status(code, key + ": stored payload failed to decode");
+    }
+    if (op.key == kReservedKey) {
+        return Status(code,
+                      key + " is reserved (array invalid-address sentinel)");
+    }
+    return Status(code, "zkv: value length " + std::to_string(op.rawLen) +
+                            " exceeds value.maxBytes (" +
+                            std::to_string(cfg_.value.maxBytes) + ")");
+}
+
 std::optional<std::uint64_t>
 ZkvStore::get(std::uint64_t key)
 {
     zc_assert(!bytesMode()); // bytes-mode callers use getBytes()
-    if (cfg_.readPath == ReadPath::Optimistic) {
-        return obsEnabled_ ? getOptimisticTraced(key) : getOptimistic(key);
-    }
-    if (obsEnabled_) return getTraced(key);
-    Shard& sh = *shards_[shardOf(key)];
-    std::lock_guard<ShardLock> g(sh.lock);
-    sh.stats.gets++;
-    AccessContext ctx{key, kNoNextUse};
-    BlockPos pos = sh.array->access(key, ctx);
-    if (pos == kInvalidPos) return std::nullopt;
-    sh.stats.getHits++;
-    return sh.mirror->valueAt(pos);
+    const ShardOp op{ObsOp::Get, key};
+    OpResult res;
+    (void)(obsEnabled_ ? runOne<ObsProbe>(op, res)
+                       : runOne<NullProbe>(op, res)); // gets never log
+    if (!res.hit) return std::nullopt;
+    return res.value;
 }
 
 Expected<PutResult>
@@ -402,112 +812,43 @@ ZkvStore::put(std::uint64_t key, std::uint64_t value)
         return Status::invalidArgument(
             "zkv: put(u64) on a bytes-mode store (use putBytes)");
     }
-    if (obsEnabled_) return putTraced(key, value);
-    if (key == kReservedKey) {
-        return Status::invalidArgument(
-            "zkv: key " + std::to_string(key) +
-            " is reserved (array invalid-address sentinel)");
-    }
-    const std::uint32_t shard = shardOf(key);
-    Shard& sh = *shards_[shard];
-    PutResult res;
-    std::uint64_t pseq = 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock);
-        sh.stats.puts++;
-        AccessContext ctx{key, kNoNextUse};
-
-        BlockPos pos = sh.array->access(key, ctx);
-        if (pos != kInvalidPos) {
-            {
-                Shard::WriteSection ws(sh);
-                sh.mirror->setValue(pos, value);
-            }
-            sh.stats.putUpdates++;
-            if (persist_ != nullptr) {
-                pseq = persist_->logPut(shard, key, value);
-            }
-        } else {
-            if (ZC_INJECT_FAULT("store.walk")) {
-                return Status::resourceExhausted(
-                    "zkv: injected relocation-walk failure (site "
-                    "store.walk, shard " +
-                    std::to_string(shard) + ")");
-            }
-            sh.mirror->setPending(value);
-            Replacement r = [&] {
-                Shard::WriteSection ws(sh);
-                return sh.array->insert(key, ctx);
-            }();
-            res.inserted = true;
-            res.candidates = r.candidates;
-            res.relocations = r.relocations;
-            sh.stats.putInserts++;
-            sh.stats.walkCandidates += r.candidates;
-            sh.stats.relocations += r.relocations;
-            if (r.evictedValid()) {
-                res.evicted = true;
-                res.evictedKey = r.evictedAddr;
-                res.evictedValue = sh.mirror->lastEvicted();
-                sh.stats.evictions++;
-            }
-            if (persist_ != nullptr) {
-                // Evict-then-put is the apply order: replaying the two
-                // records leaves exactly this shard state.
-                if (res.evicted) persist_->logEvict(shard, res.evictedKey);
-                pseq = persist_->logPut(shard, key, value);
-            }
-        }
-    }
-    // Group-commit wait happens after the lock is released so the
-    // shard stays available to other threads during the fsync.
-    if (pseq != 0) {
-        if (Status s = persist_->waitDurable(shard, pseq); !s.isOk()) {
-            return s;
-        }
-    }
-    return res;
+    const ShardOp op{ObsOp::Put, key, value};
+    OpResult res;
+    Status s = obsEnabled_ ? runOne<ObsProbe>(op, res)
+                           : runOne<NullProbe>(op, res);
+    if (res.code != ErrorCode::Ok) return opError(op, res.code);
+    if (!s.isOk()) return s;
+    return res.put;
 }
 
 bool
 ZkvStore::erase(std::uint64_t key)
 {
-    if (obsEnabled_) return eraseTraced(key);
-    const std::uint32_t shard = shardOf(key);
-    Shard& sh = *shards_[shard];
-    bool hit = false;
-    std::uint64_t pseq = 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock);
-        sh.stats.erases++;
-        {
-            Shard::WriteSection ws(sh);
-            hit = sh.array->invalidate(key);
-        }
-        if (hit) {
-            sh.stats.eraseHits++;
-            if (persist_ != nullptr) pseq = persist_->logErase(shard, key);
-        }
-    }
+    const ShardOp op{ObsOp::Erase, key};
+    OpResult res;
     // The bool API is kept: a durability failure here is sticky and
     // surfaces through the tier's counters and stopPersist().
-    if (pseq != 0) {
-        Status ignored = persist_->waitDurable(shard, pseq);
-        (void)ignored;
-    }
-    return hit;
+    (void)(obsEnabled_ ? runOne<ObsProbe>(op, res)
+                       : runOne<NullProbe>(op, res));
+    return res.hit;
 }
 
-/*
- * ---- byte-payload values (docs/compression.md) ---------------------
- *
- * The bytes-mode single-op paths below are plain (untraced): bytes
- * mode is Locked-read-path only and the batch path — which the server
- * drives — carries the instrumentation, so per-op spans for byte
- * traffic come from runShardBatch. Compression happens outside the
- * shard lock (codecs are stateless, payloads are <= kZkvMaxValueBytes)
- * so the lock covers only the array mutation, like the u64 paths.
- */
+// ---- byte-payload values (docs/compression.md) ---------------------
+
+void
+ZkvStore::compressPut(std::uint64_t key, std::span<const std::uint8_t> value,
+                      std::vector<std::uint8_t>& comp) const
+{
+    // Codecs are stateless and payloads are <= kZkvMaxValueBytes, so
+    // compression runs outside the shard lock; the lock covers only
+    // the array mutation, like the u64 paths.
+    if (key == kReservedKey || value.size() > cfg_.value.maxBytes) return;
+    comp.resize(codec_->maxCompressedSize(value.size()));
+    auto n_or = codec_->compress(value.data(), value.size(), comp.data(),
+                                 comp.size());
+    zc_assert(n_or.hasValue()); // comp is maxCompressedSize-sized
+    comp.resize(*n_or);
+}
 
 Expected<PutResult>
 ZkvStore::putBytes(std::uint64_t key, std::span<const std::uint8_t> value)
@@ -516,64 +857,15 @@ ZkvStore::putBytes(std::uint64_t key, std::span<const std::uint8_t> value)
         return Status::invalidArgument(
             "zkv: putBytes on a fixed-u64 store (set value.maxBytes)");
     }
-    if (key == kReservedKey) {
-        return Status::invalidArgument(
-            "zkv: key " + std::to_string(key) +
-            " is reserved (array invalid-address sentinel)");
-    }
-    if (value.size() > cfg_.value.maxBytes) {
-        return Status::invalidArgument(
-            "zkv: value length " + std::to_string(value.size()) +
-            " exceeds value.maxBytes (" +
-            std::to_string(cfg_.value.maxBytes) + ")");
-    }
-    const auto rawLen = static_cast<std::uint32_t>(value.size());
-    std::vector<std::uint8_t> comp(codec_->maxCompressedSize(value.size()));
-    auto n_or = codec_->compress(value.data(), value.size(), comp.data(),
-                                 comp.size());
-    zc_assert(n_or.hasValue()); // comp is maxCompressedSize-sized
-    comp.resize(*n_or);
-
-    const std::uint32_t shard = shardOf(key);
-    Shard& sh = *shards_[shard];
-    PutResult res;
-    std::lock_guard<ShardLock> g(sh.lock);
-    sh.stats.puts++;
-    AccessContext ctx{key, kNoNextUse};
-    BlockPos pos = sh.array->access(key, ctx);
-    if (pos != kInvalidPos) {
-        {
-            Shard::WriteSection ws(sh);
-            sh.mirror->setValueBytes(pos, std::move(comp), rawLen);
-        }
-        sh.stats.putUpdates++;
-        return res;
-    }
-    if (ZC_INJECT_FAULT("store.walk")) {
-        return Status::resourceExhausted(
-            "zkv: injected relocation-walk failure (site store.walk, "
-            "shard " +
-            std::to_string(shard) + ")");
-    }
-    sh.mirror->stagePendingBytes(std::move(comp), rawLen);
-    Replacement r = [&] {
-        Shard::WriteSection ws(sh);
-        return sh.array->insert(key, ctx);
-    }();
-    res.inserted = true;
-    res.candidates = r.candidates;
-    res.relocations = r.relocations;
-    sh.stats.putInserts++;
-    sh.stats.walkCandidates += r.candidates;
-    sh.stats.relocations += r.relocations;
-    if (r.evictedValid()) {
-        // Only the key: the victim's payload dies compressed
-        // (PutResult::evictedValue stays 0 in bytes mode).
-        res.evicted = true;
-        res.evictedKey = r.evictedAddr;
-        sh.stats.evictions++;
-    }
-    return res;
+    std::vector<std::uint8_t> comp;
+    compressPut(key, value, comp);
+    const ShardOp op{ObsOp::Put, key, 0, &comp, value.size()};
+    OpResult res;
+    // Bytes mode has no durability tier: no wait can fail.
+    (void)(obsEnabled_ ? runOne<ObsProbe>(op, res)
+                       : runOne<NullProbe>(op, res));
+    if (res.code != ErrorCode::Ok) return opError(op, res.code);
+    return res.put;
 }
 
 Expected<std::optional<std::vector<std::uint8_t>>>
@@ -583,26 +875,14 @@ ZkvStore::getBytes(std::uint64_t key)
         return Status::invalidArgument(
             "zkv: getBytes on a fixed-u64 store (set value.maxBytes)");
     }
-    Shard& sh = *shards_[shardOf(key)];
-    std::lock_guard<ShardLock> g(sh.lock);
-    sh.stats.gets++;
-    AccessContext ctx{key, kNoNextUse};
-    BlockPos pos = sh.array->access(key, ctx);
-    if (pos == kInvalidPos) {
-        return std::optional<std::vector<std::uint8_t>>{};
-    }
-    sh.stats.getHits++;
-    const std::vector<std::uint8_t>& stored = sh.mirror->bytesAt(pos);
-    std::vector<std::uint8_t> out(cfg_.value.maxBytes);
-    sh.mirror->noteDecompress();
-    auto len_or = codec_->decompress(stored.data(), stored.size(),
-                                     out.data(), out.size());
-    // A decode failure (corrupt stream, or the compress.codec fault
-    // site) surfaces as the codec's Corruption status — the caller
-    // never sees torn or partial bytes.
-    if (!len_or) return len_or.status();
-    out.resize(*len_or);
-    return std::optional<std::vector<std::uint8_t>>(std::move(out));
+    std::vector<std::uint8_t> value;
+    const ShardOp op{ObsOp::Get, key, 0, &value};
+    OpResult res;
+    (void)(obsEnabled_ ? runOne<ObsProbe>(op, res)
+                       : runOne<NullProbe>(op, res));
+    if (res.code != ErrorCode::Ok) return opError(op, res.code);
+    if (!res.hit) return std::optional<std::vector<std::uint8_t>>{};
+    return std::optional<std::vector<std::uint8_t>>(std::move(value));
 }
 
 ZkvCompressionStats
@@ -616,6 +896,8 @@ ZkvStore::compressionTotals() const
     return t;
 }
 
+// ---- batches -------------------------------------------------------
+
 void
 ZkvStore::runShardBatch(std::uint32_t shard,
                         std::span<const StoreBatchOp> ops,
@@ -623,565 +905,102 @@ ZkvStore::runShardBatch(std::uint32_t shard,
 {
     if (ops.empty()) return;
     zc_assert(shard < shards_.size());
+    if (!obsEnabled_) return runBatch<NullProbe>(shard, ops, out, {});
+    std::vector<ObsOpRecord> recs(ops.size());
+    runBatch<ObsProbe>(shard, ops, out, recs);
+}
 
-    if (cfg_.readPath == ReadPath::Optimistic) {
-        bool allGets = true;
-        for (const StoreBatchOp& op : ops) {
-            if (op.kind != ObsOp::Get) {
-                allGets = false;
-                break;
+template <class Probe>
+void
+ZkvStore::runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
+                   StoreBatchResult* out, std::span<ObsOpRecord> recs)
+{
+    Shard& sh = *shards_[shard];
+    Probe probe(recs, shard);
+    const bool bytes = bytesMode();
+
+    // Before the lock: a put's compressed payload is staged in its own
+    // result slot, which the kernel empties again.
+    bool allGets = true;
+    for (std::size_t i = 0; i < ops.size(); i++) {
+        out[i] = StoreBatchResult{};
+        if (ops[i].kind == ObsOp::Get) continue;
+        allGets = false;
+        if (bytes && ops[i].kind == ObsOp::Put) {
+            compressPut(ops[i].key, ops[i].valueBytes, out[i].valueBytes);
+        }
+    }
+    const auto shardOp = [&](std::size_t i) {
+        const StoreBatchOp& op = ops[i];
+        return ShardOp{op.kind, op.key, op.value,
+                       bytes ? &out[i].valueBytes : nullptr,
+                       bytes ? op.valueBytes.size() : 0, op.enqueueNs};
+    };
+    const auto report = [&](std::size_t i, const OpResult& r) {
+        StoreBatchResult& res = out[i];
+        res.code = r.code;
+        res.hit = r.hit;
+        res.value = r.value;
+        res.inserted = r.put.inserted;
+        res.evicted = r.put.evicted;
+        res.evictedKey = r.put.evictedKey;
+        res.evictedValue = r.put.evictedValue;
+        res.candidates = r.put.candidates;
+        res.relocations = r.put.relocations;
+        if (ops[i].kind == ObsOp::Put) res.valueBytes.clear();
+    };
+
+    // Only a pure-get batch may go lock-free: a put between two gets
+    // must stay ordered with them, so mixed batches run under the lock.
+    // The all-gets pass leaves the (rare) fallbacks for one shared lock.
+    const bool lockFree = allGets && cfg_.readPath == ReadPath::Optimistic;
+    std::vector<std::size_t> fell;
+    if (lockFree) {
+        for (std::size_t i = 0; i < ops.size(); i++) {
+            probe.at(i);
+            OpResult r;
+            if (tryOptimisticGet(sh, shardOp(i), r, probe)) {
+                report(i, r);
+            } else {
+                fell.push_back(i);
             }
         }
-        // Only a pure-get batch may go lock-free: a put between two
-        // gets must stay ordered with them, so mixed batches keep the
-        // one-lock in-order execution below.
-        if (allGets) {
-            runShardBatchGetsOptimistic(shard, ops, out);
+        if (fell.empty()) {
+            probe.publish(tracer_);
             return;
         }
     }
 
-    Shard& sh = *shards_[shard];
-
-    const bool traced = obsEnabled_;
-    // Records are filled under the lock but pushed to the tracer only
-    // after it is released, like the single-op traced paths.
-    std::vector<ObsOpRecord> recs;
-    if (traced && tracer_ != nullptr) recs.reserve(ops.size());
-
-    // Mutations logged to the durability tier this batch: one wait on
-    // the batch's highest seqno covers them all (seqnos are assigned
-    // in queue order under the lock held below).
+    // One wait on the batch's highest seqno covers every mutation it
+    // logged (seqnos are assigned in queue order under the lock).
     std::uint64_t persistSeq = 0;
-    std::vector<std::size_t> persistIdx;
-
-    std::uint64_t tBatch = 0;
-    ShardLock::Acquire acq{};
-    if (traced) {
-        tBatch = obsNowNs();
-        acq = sh.lock.lockInstrumented();
-    } else {
-        sh.lock.lock();
-    }
-    std::uint64_t tLocked =
-        traced ? (acq.contended ? obsNowNs() : tBatch) : 0;
+    probe.lock(sh.lock);
     {
         std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        // Insert bookkeeping shared by the traced and plain put arms.
-        auto applyInsert = [&sh](const Replacement& r,
-                                 StoreBatchResult& res, ObsOpRecord& rec) {
-            res.inserted = true;
-            res.candidates = r.candidates;
-            res.relocations = r.relocations;
-            rec.flags |= kObsFlagInserted;
-            sh.stats.putInserts++;
-            sh.stats.walkCandidates += r.candidates;
-            sh.stats.relocations += r.relocations;
-            if (r.evictedValid()) {
-                res.evicted = true;
-                res.evictedKey = r.evictedAddr;
-                res.evictedValue = sh.mirror->lastEvicted();
-                sh.stats.evictions++;
-                rec.flags |= kObsFlagEvicted;
-            }
-        };
-        std::uint64_t cursor = tLocked;
+        const std::size_t n = lockFree ? fell.size() : ops.size();
+        for (std::size_t k = 0; k < n; k++) {
+            const std::size_t i = lockFree ? fell[k] : k;
+            probe.at(i);
+            OpResult r;
+            applyLocked(sh, shard, shardOp(i), r, probe);
+            if (r.pseq != 0) persistSeq = r.pseq;
+            report(i, r);
+        }
+    }
+    probe.publish(tracer_);
+    if (persistSeq == 0) return;
+    if (Status s = persist_->waitDurable(shard, persistSeq); !s.isOk()) {
+        // The state changed but never became durable: fail every op
+        // this batch logged (successful puts, erases that hit) rather
+        // than ack writes a crash would lose.
         for (std::size_t i = 0; i < ops.size(); i++) {
-            const StoreBatchOp& op = ops[i];
-            StoreBatchResult& res = out[i];
-            res = StoreBatchResult{};
-
-            ObsOpRecord rec;
-            rec.op = op.kind;
-            rec.key = op.key;
-            rec.shard = static_cast<std::uint16_t>(shard);
-            if (traced) {
-                // The op span starts when the request finished frame
-                // decode (when known): queueing up to dispatch is the
-                // `net` phase, the batch's one lock wait is attributed
-                // to its first op, and later ops' probe phases start
-                // where the previous op ended.
-                std::uint64_t tDispatch = i == 0 ? tBatch : cursor;
-                rec.tsBeginNs =
-                    op.enqueueNs != 0 && op.enqueueNs < tDispatch
-                        ? op.enqueueNs
-                        : tDispatch;
-                rec.netNs = obsDurNs(rec.tsBeginNs, tDispatch);
-                if (i == 0 && acq.contended) {
-                    rec.lockWaitNs = obsDurNs(tBatch, tLocked);
-                }
-            }
-
-            AccessContext ctx{op.key, kNoNextUse};
-            switch (op.kind) {
-              case ObsOp::Get: {
-                sh.stats.gets++;
-                BlockPos pos = sh.array->access(op.key, ctx);
-                if (pos != kInvalidPos) {
-                    sh.stats.getHits++;
-                    if (bytesMode()) {
-                        const std::vector<std::uint8_t>& stored =
-                            sh.mirror->bytesAt(pos);
-                        std::vector<std::uint8_t> outv(
-                            cfg_.value.maxBytes);
-                        sh.mirror->noteDecompress();
-                        auto len_or = codec_->decompress(
-                            stored.data(), stored.size(), outv.data(),
-                            outv.size());
-                        if (!len_or) {
-                            // Corrupt stream (or the compress.codec
-                            // fault site): structured failure, never
-                            // torn bytes.
-                            res.code = ErrorCode::Corruption;
-                            rec.flags |= kObsFlagError;
-                            break;
-                        }
-                        outv.resize(*len_or);
-                        res.valueBytes = std::move(outv);
-                    } else {
-                        res.value = sh.mirror->valueAt(pos);
-                    }
-                    res.hit = true;
-                    rec.flags |= kObsFlagHit;
-                }
-                break;
-              }
-              case ObsOp::Put: {
-                if (op.key == kReservedKey) {
-                    res.code = ErrorCode::InvalidArgument;
-                    rec.flags |= kObsFlagError;
-                    break;
-                }
-                const bool bytes = bytesMode();
-                if (bytes &&
-                    op.valueBytes.size() > cfg_.value.maxBytes) {
-                    res.code = ErrorCode::InvalidArgument;
-                    rec.flags |= kObsFlagError;
-                    break;
-                }
-                sh.stats.puts++;
-                std::vector<std::uint8_t> comp;
-                if (bytes) {
-                    comp.resize(codec_->maxCompressedSize(
-                        op.valueBytes.size()));
-                    auto n_or = codec_->compress(
-                        op.valueBytes.data(), op.valueBytes.size(),
-                        comp.data(), comp.size());
-                    zc_assert(n_or.hasValue());
-                    comp.resize(*n_or);
-                }
-                const auto rawLen =
-                    static_cast<std::uint32_t>(op.valueBytes.size());
-                std::uint64_t tProbe0 = traced ? obsNowNs() : 0;
-                BlockPos pos = sh.array->access(op.key, ctx);
-                if (pos != kInvalidPos) {
-                    {
-                        Shard::WriteSection ws(sh);
-                        if (bytes) {
-                            sh.mirror->setValueBytes(pos, std::move(comp),
-                                                     rawLen);
-                        } else {
-                            sh.mirror->setValue(pos, op.value);
-                        }
-                    }
-                    sh.stats.putUpdates++;
-                    res.hit = true;
-                    rec.flags |= kObsFlagHit;
-                    if (persist_ != nullptr) {
-                        persistSeq =
-                            persist_->logPut(shard, op.key, op.value);
-                        persistIdx.push_back(i);
-                    }
-                    break;
-                }
-                if (ZC_INJECT_FAULT("store.walk")) {
-                    res.code = ErrorCode::ResourceExhausted;
-                    rec.flags |= kObsFlagError;
-                    break;
-                }
-                if (bytes) {
-                    sh.mirror->stagePendingBytes(std::move(comp), rawLen);
-                } else {
-                    sh.mirror->setPending(op.value);
-                }
-                if (traced) {
-                    std::uint64_t tWalk0 = obsNowNs();
-                    rec.probeNs = obsDurNs(tProbe0, tWalk0);
-                    Replacement r = [&] {
-                        Shard::WriteSection ws(sh);
-                        return sh.array->insert(op.key, ctx);
-                    }();
-                    rec.walkNs = obsDurNs(tWalk0, obsNowNs());
-                    rec.candidates = r.candidates;
-                    rec.relocations = r.relocations;
-                    applyInsert(r, res, rec);
-                } else {
-                    Replacement r = [&] {
-                        Shard::WriteSection ws(sh);
-                        return sh.array->insert(op.key, ctx);
-                    }();
-                    applyInsert(r, res, rec);
-                }
-                if (persist_ != nullptr) {
-                    if (res.evicted) {
-                        persist_->logEvict(shard, res.evictedKey);
-                    }
-                    persistSeq = persist_->logPut(shard, op.key, op.value);
-                    persistIdx.push_back(i);
-                }
-                break;
-              }
-              case ObsOp::Erase: {
-                sh.stats.erases++;
-                bool erased = false;
-                {
-                    Shard::WriteSection ws(sh);
-                    erased = sh.array->invalidate(op.key);
-                }
-                if (erased) {
-                    sh.stats.eraseHits++;
-                    res.hit = true;
-                    rec.flags |= kObsFlagHit;
-                    if (persist_ != nullptr) {
-                        persistSeq = persist_->logErase(shard, op.key);
-                        persistIdx.push_back(i);
-                    }
-                }
-                break;
-              }
-            }
-
-            if (traced) {
-                std::uint64_t tEnd = obsNowNs();
-                // The put path above measured probe/walk itself; the
-                // other ops fold their whole locked section into probe.
-                if (rec.probeNs == 0 && rec.walkNs == 0) {
-                    std::uint64_t tOpStart = i == 0 ? tLocked : cursor;
-                    rec.probeNs = obsDurNs(tOpStart, tEnd);
-                }
-                rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-                cursor = tEnd;
-                sh.obs.lockAcquisitions += i == 0 ? 1 : 0;
-                sh.obs.lockContended += i == 0 && acq.contended ? 1 : 0;
-                sh.obs.lockSpinIters += i == 0 ? acq.spins : 0;
-                sh.obs.lockWaitNs += rec.lockWaitNs;
-                sh.obs.netNs += rec.netNs;
-                sh.obs.probeNs += rec.probeNs;
-                sh.obs.walkNs += rec.walkNs;
-                sh.obs.opNs += rec.durNs;
-                if (tracer_ != nullptr) recs.push_back(rec);
-            }
+            const bool logged =
+                out[i].code == ErrorCode::Ok &&
+                (ops[i].kind == ObsOp::Put ||
+                 (ops[i].kind == ObsOp::Erase && out[i].hit));
+            if (logged) out[i].code = ErrorCode::IoError;
         }
     }
-    // Group-commit wait after the lock is released: one wait on the
-    // batch's highest seqno covers every mutation it logged.
-    if (persistSeq != 0) {
-        if (Status s = persist_->waitDurable(shard, persistSeq);
-            !s.isOk()) {
-            // The state changed but never became durable — surface a
-            // structured failure on each op this batch logged rather
-            // than acking writes a crash would lose.
-            for (std::size_t i : persistIdx) {
-                out[i].code = ErrorCode::IoError;
-            }
-        }
-    }
-    if (!recs.empty()) {
-        ObsThreadChannel* ch = tracer_->channel();
-        for (const ObsOpRecord& r : recs) ch->record(r);
-    }
-}
-
-/*
- * ---- optimistic read path (ReadPath::Optimistic, docs/store.md) ----
- *
- * The reader computes the key's W candidate positions itself
- * (CacheArray::lookupWays is a pure function of the key and the hash
- * matrices — a resident block is always in one of them, Section III-A)
- * and scans the ValueMirror's relaxed atomic key/value mirrors between
- * a ShardSeq readBegin/readValidate pair. Any overlap with a writer's
- * odd window discards the snapshot and retries; after
- * kSeqGetMaxRetries the get is answered under the shard lock. Neither
- * path promotes the hit in the replacement policy — an optimistic-mode
- * shard's eviction order is a pure function of its put/erase sequence,
- * whichever path answers a get.
- */
-
-bool
-ZkvStore::tryOptimisticGet(Shard& sh, std::uint64_t key,
-                           std::uint32_t& retries, bool& hit,
-                           std::uint64_t& value)
-{
-    BlockPos pos[kMaxLookupWays];
-    const std::uint32_t ways = sh.array->lookupWays(key, pos, kMaxLookupWays);
-    for (std::uint32_t attempt = 0; attempt <= kSeqGetMaxRetries;
-         attempt++) {
-        const std::uint64_t begin = sh.seq.readBegin();
-        if (begin & 1) {
-            // Writer mid-section: probing now could only be wasted
-            // work, so count the retry and re-snapshot immediately.
-            retries++;
-            continue;
-        }
-        bool h = false;
-        std::uint64_t v = 0;
-        for (std::uint32_t w = 0; w < ways; w++) {
-            if (sh.mirror->keyAt(pos[w]) == key) {
-                v = sh.mirror->valueAt(pos[w]);
-                h = true;
-                break;
-            }
-        }
-        if (sh.seq.readValidate(begin)) {
-            hit = h;
-            value = v;
-            return true;
-        }
-        retries++;
-    }
-    return false;
-}
-
-std::optional<std::uint64_t>
-ZkvStore::getOptimistic(std::uint64_t key)
-{
-    Shard& sh = *shards_[shardOf(key)];
-    std::uint32_t retries = 0;
-    bool hit = false;
-    std::uint64_t value = 0;
-    if (tryOptimisticGet(sh, key, retries, hit, value)) {
-        sh.seqc.gets.fetch_add(1, std::memory_order_relaxed);
-        sh.seqc.optimistic.fetch_add(1, std::memory_order_relaxed);
-        if (hit) sh.seqc.getHits.fetch_add(1, std::memory_order_relaxed);
-        if (retries != 0) {
-            sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
-        }
-        if (hit) return value;
-        return std::nullopt;
-    }
-    // Locked fallback — still no policy promotion (probe, not access):
-    // a get's semantics must not depend on which path answered it.
-    sh.seqc.fallback.fetch_add(1, std::memory_order_relaxed);
-    sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
-    std::lock_guard<ShardLock> g(sh.lock);
-    sh.stats.gets++;
-    BlockPos pos = sh.array->probe(key);
-    if (pos == kInvalidPos) return std::nullopt;
-    sh.stats.getHits++;
-    return sh.mirror->valueAt(pos);
-}
-
-std::optional<std::uint64_t>
-ZkvStore::getOptimisticTraced(std::uint64_t key)
-{
-    ObsOpRecord rec;
-    rec.op = ObsOp::Get;
-    rec.key = key;
-    const std::uint32_t shard = shardOf(key);
-    rec.shard = static_cast<std::uint16_t>(shard);
-    rec.flags |= kObsFlagOptimistic;
-    rec.tsBeginNs = obsNowNs();
-
-    Shard& sh = *shards_[shard];
-    std::uint32_t retries = 0;
-    bool hit = false;
-    std::uint64_t value = 0;
-    if (tryOptimisticGet(sh, key, retries, hit, value)) {
-        std::uint64_t tEnd = obsNowNs();
-        rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-        // The whole lock-free op is one probe; gets never walk, so the
-        // candidates field carries the seq retry count instead.
-        rec.probeNs = rec.durNs;
-        rec.candidates = retries;
-        if (hit) rec.flags |= kObsFlagHit;
-        sh.seqc.gets.fetch_add(1, std::memory_order_relaxed);
-        sh.seqc.optimistic.fetch_add(1, std::memory_order_relaxed);
-        if (hit) sh.seqc.getHits.fetch_add(1, std::memory_order_relaxed);
-        if (retries != 0) {
-            sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
-        }
-        // No sh.obs ns attribution without the lock; the record itself
-        // carries the timing and the tracer ring is per-thread SPSC.
-        if (tracer_ != nullptr) tracer_->channel()->record(rec);
-        if (hit) return value;
-        return std::nullopt;
-    }
-
-    rec.flags |= kObsFlagSeqFallback;
-    rec.candidates = retries;
-    sh.seqc.fallback.fetch_add(1, std::memory_order_relaxed);
-    sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
-
-    std::uint64_t tLockStart = obsNowNs();
-    ShardLock::Acquire acq = sh.lock.lockInstrumented();
-    std::uint64_t tLocked = acq.contended ? obsNowNs() : tLockStart;
-    if (acq.contended) rec.lockWaitNs = obsDurNs(tLockStart, tLocked);
-
-    std::optional<std::uint64_t> out;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        sh.stats.gets++;
-        BlockPos pos = sh.array->probe(key);
-        std::uint64_t tProbed = obsNowNs();
-        rec.probeNs = obsDurNs(tLocked, tProbed);
-        if (pos != kInvalidPos) {
-            sh.stats.getHits++;
-            rec.flags |= kObsFlagHit;
-            out = sh.mirror->valueAt(pos);
-        }
-        rec.durNs = obsDurNs(rec.tsBeginNs, tProbed);
-        sh.obs.lockAcquisitions++;
-        sh.obs.lockContended += acq.contended ? 1 : 0;
-        sh.obs.lockSpinIters += acq.spins;
-        sh.obs.lockWaitNs += rec.lockWaitNs;
-        sh.obs.probeNs += rec.probeNs;
-        sh.obs.opNs += rec.durNs;
-    }
-    if (tracer_ != nullptr) tracer_->channel()->record(rec);
-    return out;
-}
-
-void
-ZkvStore::runShardBatchGetsOptimistic(std::uint32_t shard,
-                                      std::span<const StoreBatchOp> ops,
-                                      StoreBatchResult* out)
-{
-    Shard& sh = *shards_[shard];
-    const bool traced = obsEnabled_;
-
-    std::vector<ObsOpRecord> recs;
-    if (traced) recs.resize(ops.size());
-
-    // Pass 1: every get tries the lock-free path on its own; the rare
-    // failures queue up for one shared lock acquisition below.
-    std::vector<std::size_t> fell;
-    std::uint64_t nOk = 0;
-    std::uint64_t nHit = 0;
-    std::uint64_t nRetried = 0;
-    for (std::size_t i = 0; i < ops.size(); i++) {
-        const StoreBatchOp& op = ops[i];
-        StoreBatchResult& res = out[i];
-        res = StoreBatchResult{};
-
-        std::uint64_t t0 = 0;
-        if (traced) {
-            ObsOpRecord& rec = recs[i];
-            rec.op = ObsOp::Get;
-            rec.key = op.key;
-            rec.shard = static_cast<std::uint16_t>(shard);
-            rec.flags |= kObsFlagOptimistic;
-            t0 = obsNowNs();
-            rec.tsBeginNs =
-                op.enqueueNs != 0 && op.enqueueNs < t0 ? op.enqueueNs : t0;
-            rec.netNs = obsDurNs(rec.tsBeginNs, t0);
-        }
-
-        std::uint32_t retries = 0;
-        bool hit = false;
-        std::uint64_t value = 0;
-        if (tryOptimisticGet(sh, op.key, retries, hit, value)) {
-            nOk++;
-            nRetried += retries;
-            if (hit) {
-                nHit++;
-                res.hit = true;
-                res.value = value;
-            }
-            if (traced) {
-                ObsOpRecord& rec = recs[i];
-                std::uint64_t tEnd = obsNowNs();
-                rec.probeNs = obsDurNs(t0, tEnd);
-                rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-                rec.candidates = retries;
-                if (hit) rec.flags |= kObsFlagHit;
-            }
-        } else {
-            nRetried += retries;
-            fell.push_back(i);
-            if (traced) {
-                ObsOpRecord& rec = recs[i];
-                rec.flags |= kObsFlagSeqFallback;
-                rec.candidates = retries;
-            }
-        }
-    }
-    if (nOk != 0) {
-        sh.seqc.gets.fetch_add(nOk, std::memory_order_relaxed);
-        sh.seqc.optimistic.fetch_add(nOk, std::memory_order_relaxed);
-    }
-    if (nHit != 0) {
-        sh.seqc.getHits.fetch_add(nHit, std::memory_order_relaxed);
-    }
-    if (nRetried != 0) {
-        sh.seqc.retried.fetch_add(nRetried, std::memory_order_relaxed);
-    }
-
-    // Pass 2: answer the fallbacks in order under one lock. probe(),
-    // not access() — optimistic-mode gets never promote.
-    if (!fell.empty()) {
-        sh.seqc.fallback.fetch_add(fell.size(), std::memory_order_relaxed);
-        std::uint64_t tBatch = 0;
-        ShardLock::Acquire acq{};
-        if (traced) {
-            tBatch = obsNowNs();
-            acq = sh.lock.lockInstrumented();
-        } else {
-            sh.lock.lock();
-        }
-        std::uint64_t tLocked =
-            traced ? (acq.contended ? obsNowNs() : tBatch) : 0;
-        {
-            std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-            std::uint64_t cursor = tLocked;
-            for (std::size_t n = 0; n < fell.size(); n++) {
-                const std::size_t i = fell[n];
-                sh.stats.gets++;
-                BlockPos pos = sh.array->probe(ops[i].key);
-                if (pos != kInvalidPos) {
-                    sh.stats.getHits++;
-                    out[i].hit = true;
-                    out[i].value = sh.mirror->valueAt(pos);
-                }
-                if (traced) {
-                    ObsOpRecord& rec = recs[i];
-                    std::uint64_t tEnd = obsNowNs();
-                    if (n == 0 && acq.contended) {
-                        rec.lockWaitNs = obsDurNs(tBatch, tLocked);
-                    }
-                    rec.probeNs = obsDurNs(cursor, tEnd);
-                    rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-                    if (out[i].hit) rec.flags |= kObsFlagHit;
-                    cursor = tEnd;
-                    sh.obs.lockAcquisitions += n == 0 ? 1 : 0;
-                    sh.obs.lockContended += n == 0 && acq.contended ? 1 : 0;
-                    sh.obs.lockSpinIters += n == 0 ? acq.spins : 0;
-                    sh.obs.lockWaitNs += rec.lockWaitNs;
-                    sh.obs.netNs += rec.netNs;
-                    sh.obs.probeNs += rec.probeNs;
-                    sh.obs.opNs += rec.durNs;
-                }
-            }
-        }
-    }
-
-    if (traced && tracer_ != nullptr) {
-        ObsThreadChannel* ch = tracer_->channel();
-        for (const ObsOpRecord& r : recs) ch->record(r);
-    }
-}
-
-void
-ZkvStore::enableObs(ObsTracer* tracer)
-{
-    tracer_ = tracer;
-    obsEnabled_ = true;
-}
-
-void
-ZkvStore::disableObs()
-{
-    obsEnabled_ = false;
-    tracer_ = nullptr;
 }
 
 ZkvShardObs
@@ -1204,259 +1023,11 @@ ZkvShardObs
 ZkvStore::obsTotals() const
 {
     ZkvShardObs t;
-    for (std::uint32_t i = 0; i < shards_.size(); i++) {
-        t.add(shardObs(i));
-    }
+    for (std::uint32_t i = 0; i < shards_.size(); i++) t.add(shardObs(i));
     return t;
 }
 
-/*
- * The traced twins below mirror the plain paths exactly — same stats,
- * same fault sites, same array calls — plus timestamps at the phase
- * boundaries (lock acquired, probe done, walk done), the per-shard
- * attribution counters, and one ObsOpRecord pushed to the tracer's
- * per-thread ring after the shard lock is released. Keep any
- * behavioral change to the plain paths in sync here (the equivalence
- * test in tests/test_obs.cpp compares the two paths' results).
- */
-
-std::optional<std::uint64_t>
-ZkvStore::getTraced(std::uint64_t key)
-{
-    ObsOpRecord rec;
-    rec.op = ObsOp::Get;
-    rec.key = key;
-    std::uint32_t shard = shardOf(key);
-    rec.shard = static_cast<std::uint16_t>(shard);
-    rec.tsBeginNs = obsNowNs();
-
-    Shard& sh = *shards_[shard];
-    ShardLock::Acquire acq = sh.lock.lockInstrumented();
-    // Timestamp the acquire only when it contended: an uncontended
-    // lock costs ~15 ns, below the clock's own resolution, and
-    // skipping the read saves one of the 3-4 timestamps per op
-    // (docs/telemetry.md overhead table). The acquire cost folds into
-    // the probe phase in that case.
-    std::uint64_t tLocked = acq.contended ? obsNowNs() : rec.tsBeginNs;
-    if (acq.contended) {
-        rec.lockWaitNs = obsDurNs(rec.tsBeginNs, tLocked);
-    }
-
-    std::optional<std::uint64_t> out;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        sh.stats.gets++;
-        AccessContext ctx{key, kNoNextUse};
-        BlockPos pos = sh.array->access(key, ctx);
-        std::uint64_t tProbed = obsNowNs();
-        rec.probeNs = obsDurNs(tLocked, tProbed);
-        if (pos != kInvalidPos) {
-            sh.stats.getHits++;
-            rec.flags |= kObsFlagHit;
-            out = sh.mirror->valueAt(pos);
-        }
-        rec.durNs = obsDurNs(rec.tsBeginNs, tProbed);
-        sh.obs.lockAcquisitions++;
-        sh.obs.lockContended += acq.contended ? 1 : 0;
-        sh.obs.lockSpinIters += acq.spins;
-        sh.obs.lockWaitNs += rec.lockWaitNs;
-        sh.obs.probeNs += rec.probeNs;
-        sh.obs.opNs += rec.durNs;
-    }
-    if (tracer_ != nullptr) tracer_->channel()->record(rec);
-    return out;
-}
-
-Expected<PutResult>
-ZkvStore::putTraced(std::uint64_t key, std::uint64_t value)
-{
-    if (key == kReservedKey) {
-        return Status::invalidArgument(
-            "zkv: key " + std::to_string(key) +
-            " is reserved (array invalid-address sentinel)");
-    }
-    ObsOpRecord rec;
-    rec.op = ObsOp::Put;
-    rec.key = key;
-    std::uint32_t shard = shardOf(key);
-    rec.shard = static_cast<std::uint16_t>(shard);
-    rec.tsBeginNs = obsNowNs();
-
-    Shard& sh = *shards_[shard];
-    ShardLock::Acquire acq = sh.lock.lockInstrumented();
-    // Timestamp the acquire only when it contended: an uncontended
-    // lock costs ~15 ns, below the clock's own resolution, and
-    // skipping the read saves one of the 3-4 timestamps per op
-    // (docs/telemetry.md overhead table). The acquire cost folds into
-    // the probe phase in that case.
-    std::uint64_t tLocked = acq.contended ? obsNowNs() : rec.tsBeginNs;
-    if (acq.contended) {
-        rec.lockWaitNs = obsDurNs(rec.tsBeginNs, tLocked);
-    }
-
-    Expected<PutResult> out = PutResult{};
-    std::uint64_t pseq = 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        sh.stats.puts++;
-        AccessContext ctx{key, kNoNextUse};
-        BlockPos pos = sh.array->access(key, ctx);
-        std::uint64_t tProbed = obsNowNs();
-        rec.probeNs = obsDurNs(tLocked, tProbed);
-
-        std::uint64_t tEnd = tProbed;
-        if (pos != kInvalidPos) {
-            {
-                Shard::WriteSection ws(sh);
-                sh.mirror->setValue(pos, value);
-            }
-            sh.stats.putUpdates++;
-            rec.flags |= kObsFlagHit;
-            if (persist_ != nullptr) {
-                pseq = persist_->logPut(shard, key, value);
-            }
-        } else if (ZC_INJECT_FAULT("store.walk")) {
-            out = Status::resourceExhausted(
-                "zkv: injected relocation-walk failure (site store.walk, "
-                "shard " +
-                std::to_string(shard) + ")");
-            rec.flags |= kObsFlagError;
-        } else {
-            sh.mirror->setPending(value);
-            Replacement r = [&] {
-                Shard::WriteSection ws(sh);
-                return sh.array->insert(key, ctx);
-            }();
-            tEnd = obsNowNs();
-            rec.walkNs = obsDurNs(tProbed, tEnd);
-            rec.candidates = r.candidates;
-            rec.relocations = r.relocations;
-            rec.flags |= kObsFlagInserted;
-            PutResult& res = *out;
-            res.inserted = true;
-            res.candidates = r.candidates;
-            res.relocations = r.relocations;
-            sh.stats.putInserts++;
-            sh.stats.walkCandidates += r.candidates;
-            sh.stats.relocations += r.relocations;
-            if (r.evictedValid()) {
-                res.evicted = true;
-                res.evictedKey = r.evictedAddr;
-                res.evictedValue = sh.mirror->lastEvicted();
-                sh.stats.evictions++;
-                rec.flags |= kObsFlagEvicted;
-            }
-            if (persist_ != nullptr) {
-                if (res.evicted) persist_->logEvict(shard, res.evictedKey);
-                pseq = persist_->logPut(shard, key, value);
-            }
-        }
-        rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-        sh.obs.lockAcquisitions++;
-        sh.obs.lockContended += acq.contended ? 1 : 0;
-        sh.obs.lockSpinIters += acq.spins;
-        sh.obs.lockWaitNs += rec.lockWaitNs;
-        sh.obs.probeNs += rec.probeNs;
-        sh.obs.walkNs += rec.walkNs;
-        sh.obs.opNs += rec.durNs;
-    }
-    if (tracer_ != nullptr) tracer_->channel()->record(rec);
-    if (pseq != 0) {
-        if (Status s = persist_->waitDurable(shard, pseq); !s.isOk()) {
-            return s;
-        }
-    }
-    return out;
-}
-
-bool
-ZkvStore::eraseTraced(std::uint64_t key)
-{
-    ObsOpRecord rec;
-    rec.op = ObsOp::Erase;
-    rec.key = key;
-    std::uint32_t shard = shardOf(key);
-    rec.shard = static_cast<std::uint16_t>(shard);
-    rec.tsBeginNs = obsNowNs();
-
-    Shard& sh = *shards_[shard];
-    ShardLock::Acquire acq = sh.lock.lockInstrumented();
-    // Timestamp the acquire only when it contended: an uncontended
-    // lock costs ~15 ns, below the clock's own resolution, and
-    // skipping the read saves one of the 3-4 timestamps per op
-    // (docs/telemetry.md overhead table). The acquire cost folds into
-    // the probe phase in that case.
-    std::uint64_t tLocked = acq.contended ? obsNowNs() : rec.tsBeginNs;
-    if (acq.contended) {
-        rec.lockWaitNs = obsDurNs(rec.tsBeginNs, tLocked);
-    }
-
-    bool hit = false;
-    std::uint64_t pseq = 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        sh.stats.erases++;
-        {
-            Shard::WriteSection ws(sh);
-            hit = sh.array->invalidate(key);
-        }
-        std::uint64_t tEnd = obsNowNs();
-        rec.probeNs = obsDurNs(tLocked, tEnd);
-        if (hit) {
-            sh.stats.eraseHits++;
-            rec.flags |= kObsFlagHit;
-            if (persist_ != nullptr) pseq = persist_->logErase(shard, key);
-        }
-        rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-        sh.obs.lockAcquisitions++;
-        sh.obs.lockContended += acq.contended ? 1 : 0;
-        sh.obs.lockSpinIters += acq.spins;
-        sh.obs.lockWaitNs += rec.lockWaitNs;
-        sh.obs.probeNs += rec.probeNs;
-        sh.obs.opNs += rec.durNs;
-    }
-    if (tracer_ != nullptr) tracer_->channel()->record(rec);
-    // Same contract as the plain path: the bool API is kept, and a
-    // durability failure stays visible via the tier's sticky error.
-    if (pseq != 0) {
-        Status ignored = persist_->waitDurable(shard, pseq);
-        (void)ignored;
-    }
-    return hit;
-}
-
 // ---- durability tier -----------------------------------------------
-
-void
-ZkvStore::replayPut(std::uint32_t shard, std::uint64_t key,
-                    std::uint64_t value)
-{
-    if (key == kReservedKey) return;
-    Shard& sh = *shards_[shard];
-    std::lock_guard<ShardLock> g(sh.lock);
-    AccessContext ctx{key, kNoNextUse};
-    BlockPos pos = sh.array->access(key, ctx);
-    if (pos != kInvalidPos) {
-        Shard::WriteSection ws(sh);
-        sh.mirror->setValue(pos, value);
-        return;
-    }
-    sh.mirror->setPending(value);
-    // Replay inserts may themselves evict (capacity): misses after
-    // recovery are acceptable, resurrections are not — and since the
-    // tier is not active yet, nothing here is re-logged.
-    Shard::WriteSection ws(sh);
-    (void)sh.array->insert(key, ctx);
-}
-
-void
-ZkvStore::replayErase(std::uint32_t shard, std::uint64_t key)
-{
-    Shard& sh = *shards_[shard];
-    std::lock_guard<ShardLock> g(sh.lock);
-    Shard::WriteSection ws(sh);
-    (void)sh.array->invalidate(key);
-}
 
 Expected<persist::RecoveryReport>
 ZkvStore::recover()
@@ -1466,13 +1037,32 @@ ZkvStore::recover()
             "zkv: recover() needs persistence configured (set a data "
             "directory)");
     }
+    // Replay applies state without counting stats or re-logging (the
+    // tier is not active yet). A replayed insert may itself evict
+    // (capacity): misses after recovery are acceptable, resurrections
+    // are not. The reserved key never reaches the array.
     persist::ReplayTarget target;
     target.applyPut = [this](std::uint32_t shard, std::uint64_t key,
                              std::uint64_t value) {
-        replayPut(shard, key, value);
+        if (key == kReservedKey) return;
+        Shard& sh = *shards_[shard];
+        std::lock_guard<ShardLock> g(sh.lock);
+        AccessContext ctx{key, kNoNextUse};
+        BlockPos pos = sh.array->access(key, ctx);
+        Shard::WriteSection ws(sh);
+        if (pos != kInvalidPos) {
+            sh.mirror->setValue(pos, value);
+        } else {
+            sh.mirror->setPending(value);
+            (void)sh.array->insert(key, ctx);
+        }
     };
     target.applyErase = [this](std::uint32_t shard, std::uint64_t key) {
-        replayErase(shard, key);
+        if (key == kReservedKey) return;
+        Shard& sh = *shards_[shard];
+        std::lock_guard<ShardLock> g(sh.lock);
+        Shard::WriteSection ws(sh);
+        (void)sh.array->invalidate(key);
     };
     auto report_or = persist_->recover(target);
     if (!report_or) return report_or.status();
@@ -1547,72 +1137,86 @@ ZkvShardStats
 ZkvStore::totals() const
 {
     ZkvShardStats t;
-    for (std::uint32_t i = 0; i < shards_.size(); i++) {
-        t.add(shardStats(i));
-    }
+    for (std::uint32_t i = 0; i < shards_.size(); i++) t.add(shardStats(i));
     return t;
 }
 
 namespace {
 
-void
-registerShardObsCounters(StatGroup& g, const ZkvShardObs* s,
-                         const ZkvSeqCounters* c)
+/** One counter of a stats struct: its stat name, description, field. */
+template <class Stats>
+struct CounterField
 {
-    g.addCounter("get_optimistic", "gets answered without the lock", [c] {
-        return c->optimistic.load(std::memory_order_relaxed);
-    });
-    g.addCounter("get_retried", "seqlock validation retries", [c] {
-        return c->retried.load(std::memory_order_relaxed);
-    });
-    g.addCounter("get_fallback", "optimistic gets that took the lock",
-                 [c] {
-        return c->fallback.load(std::memory_order_relaxed);
-    });
-    g.addCounter("lock_acquisitions", "instrumented shard-lock takes",
-                 [s] { return s->lockAcquisitions; });
-    g.addCounter("lock_contended", "lock takes that had to wait",
-                 [s] { return s->lockContended; });
-    g.addCounter("lock_spin_iters", "TTAS relaxed-test spin iterations",
-                 [s] { return s->lockSpinIters; });
-    g.addCounter("lock_wait_ns", "summed lock-acquisition wait",
-                 [s] { return s->lockWaitNs; });
-    g.addCounter("net_ns", "summed decode->dispatch queue time (server)",
-                 [s] { return s->netNs; });
-    g.addCounter("probe_ns", "summed hash+tag probe time",
-                 [s] { return s->probeNs; });
-    g.addCounter("walk_ns", "summed relocation-walk time",
-                 [s] { return s->walkNs; });
-    g.addCounter("op_ns", "summed whole-op time",
-                 [s] { return s->opNs; });
-}
+    const char* name;
+    const char* desc;
+    std::uint64_t Stats::*field;
+};
 
+constexpr CounterField<ZkvShardStats> kOpCounters[] = {
+    {"gets", "get operations", &ZkvShardStats::gets},
+    {"get_hits", "gets that found the key", &ZkvShardStats::getHits},
+    {"puts", "put operations", &ZkvShardStats::puts},
+    {"put_inserts", "puts that installed a new key",
+     &ZkvShardStats::putInserts},
+    {"put_updates", "puts that updated in place", &ZkvShardStats::putUpdates},
+    {"erases", "erase operations", &ZkvShardStats::erases},
+    {"erase_hits", "erases that removed a key", &ZkvShardStats::eraseHits},
+    {"evictions", "resident keys displaced by inserts",
+     &ZkvShardStats::evictions},
+    {"walk_candidates", "replacement candidates examined",
+     &ZkvShardStats::walkCandidates},
+    {"relocations", "walk relocations performed",
+     &ZkvShardStats::relocations},
+};
+
+constexpr CounterField<ZkvShardObs> kObsCounters[] = {
+    {"get_optimistic", "gets answered without the lock",
+     &ZkvShardObs::getOptimistic},
+    {"get_retried", "seqlock validation retries", &ZkvShardObs::getRetried},
+    {"get_fallback", "optimistic gets that took the lock",
+     &ZkvShardObs::getFallback},
+    {"lock_acquisitions", "instrumented shard-lock takes",
+     &ZkvShardObs::lockAcquisitions},
+    {"lock_contended", "lock takes that had to wait",
+     &ZkvShardObs::lockContended},
+    {"lock_spin_iters", "TTAS relaxed-test spin iterations",
+     &ZkvShardObs::lockSpinIters},
+    {"lock_wait_ns", "summed lock-acquisition wait", &ZkvShardObs::lockWaitNs},
+    {"net_ns", "summed decode->dispatch queue time (server)",
+     &ZkvShardObs::netNs},
+    {"probe_ns", "summed hash+tag probe time", &ZkvShardObs::probeNs},
+    {"walk_ns", "summed relocation-walk time", &ZkvShardObs::walkNs},
+    {"op_ns", "summed whole-op time", &ZkvShardObs::opNs},
+};
+
+constexpr CounterField<ZkvCompressionStats> kCompressionCounters[] = {
+    {"compress_calls", "payloads compressed (puts)",
+     &ZkvCompressionStats::compressCalls},
+    {"decompress_calls", "payloads decoded (get hits)",
+     &ZkvCompressionStats::decompressCalls},
+    {"raw_bytes_total", "pre-codec bytes, all puts",
+     &ZkvCompressionStats::rawBytesTotal},
+    {"stored_bytes_total", "post-codec bytes, all puts",
+     &ZkvCompressionStats::storedBytesTotal},
+    {"resident_raw_bytes", "live entries, pre-codec",
+     &ZkvCompressionStats::residentRawBytes},
+    {"resident_stored_bytes", "live entries, as stored",
+     &ZkvCompressionStats::residentStoredBytes},
+};
+
+/** Register every field of @p fields under @p g, each read at dump
+ *  time from a fresh @p snapshot (one locked sweep per counter keeps
+ *  the getters trivially consistent with each other). */
+template <class Stats, std::size_t N, class Snapshot>
 void
-registerShardCounters(StatGroup& g, const ZkvShardStats* s,
-                      const ZkvSeqCounters* c)
+addCounters(StatGroup& g, const CounterField<Stats> (&fields)[N],
+            Snapshot snapshot)
 {
-    // gets/get_hits fold in the lock-free path's atomic counters, the
-    // same arithmetic shardStats() applies to its snapshot.
-    g.addCounter("gets", "get operations", [s, c] {
-        return s->gets + c->gets.load(std::memory_order_relaxed);
-    });
-    g.addCounter("get_hits", "gets that found the key", [s, c] {
-        return s->getHits + c->getHits.load(std::memory_order_relaxed);
-    });
-    g.addCounter("puts", "put operations", [s] { return s->puts; });
-    g.addCounter("put_inserts", "puts that installed a new key",
-                 [s] { return s->putInserts; });
-    g.addCounter("put_updates", "puts that updated in place",
-                 [s] { return s->putUpdates; });
-    g.addCounter("erases", "erase operations", [s] { return s->erases; });
-    g.addCounter("erase_hits", "erases that removed a key",
-                 [s] { return s->eraseHits; });
-    g.addCounter("evictions", "resident keys displaced by inserts",
-                 [s] { return s->evictions; });
-    g.addCounter("walk_candidates", "replacement candidates examined",
-                 [s] { return s->walkCandidates; });
-    g.addCounter("relocations", "walk relocations performed",
-                 [s] { return s->relocations; });
+    for (const CounterField<Stats>& f : fields) {
+        g.addCounter(f.name, f.desc, [snapshot, m = f.field] {
+            return snapshot().*m;
+        });
+    }
 }
 
 } // namespace
@@ -1632,58 +1236,16 @@ ZkvStore::registerStats(StatGroup& g)
     root.addCounter("resident_keys", "valid keys across all shards",
                     [this] { return size(); });
 
-    // Totals snapshot: one locked sweep per dumped counter keeps the
-    // getters trivially consistent with the per-shard groups below.
-    StatGroup& tot = root.group("totals", "summed over all shards");
-    tot.addCounter("gets", "get operations",
-                   [this] { return totals().gets; });
-    tot.addCounter("get_hits", "gets that found the key",
-                   [this] { return totals().getHits; });
-    tot.addCounter("puts", "put operations",
-                   [this] { return totals().puts; });
-    tot.addCounter("put_inserts", "puts that installed a new key",
-                   [this] { return totals().putInserts; });
-    tot.addCounter("put_updates", "puts that updated in place",
-                   [this] { return totals().putUpdates; });
-    tot.addCounter("erases", "erase operations",
-                   [this] { return totals().erases; });
-    tot.addCounter("erase_hits", "erases that removed a key",
-                   [this] { return totals().eraseHits; });
-    tot.addCounter("evictions", "resident keys displaced by inserts",
-                   [this] { return totals().evictions; });
-    tot.addCounter("walk_candidates", "replacement candidates examined",
-                   [this] { return totals().walkCandidates; });
-    tot.addCounter("relocations", "walk relocations performed",
-                   [this] { return totals().relocations; });
+    addCounters(root.group("totals", "summed over all shards"), kOpCounters,
+                [this] { return totals(); });
 
     // Latency attribution + lock contention (docs/telemetry.md). All
     // zeros while obs is disabled (the default), so the default stats
     // dump stays deterministic; with obs enabled the *_ns values are
     // wall-clock and belong in the nondeterministic class.
-    StatGroup& obs = root.group(
-        "obs", "latency attribution and lock contention (traced paths)");
-    obs.addCounter("get_optimistic", "gets answered without the lock",
-                   [this] { return obsTotals().getOptimistic; });
-    obs.addCounter("get_retried", "seqlock validation retries",
-                   [this] { return obsTotals().getRetried; });
-    obs.addCounter("get_fallback", "optimistic gets that took the lock",
-                   [this] { return obsTotals().getFallback; });
-    obs.addCounter("lock_acquisitions", "instrumented shard-lock takes",
-                   [this] { return obsTotals().lockAcquisitions; });
-    obs.addCounter("lock_contended", "lock takes that had to wait",
-                   [this] { return obsTotals().lockContended; });
-    obs.addCounter("lock_spin_iters", "TTAS relaxed-test spin iterations",
-                   [this] { return obsTotals().lockSpinIters; });
-    obs.addCounter("lock_wait_ns", "summed lock-acquisition wait",
-                   [this] { return obsTotals().lockWaitNs; });
-    obs.addCounter("net_ns", "summed decode->dispatch queue time (server)",
-                   [this] { return obsTotals().netNs; });
-    obs.addCounter("probe_ns", "summed hash+tag probe time",
-                   [this] { return obsTotals().probeNs; });
-    obs.addCounter("walk_ns", "summed relocation-walk time",
-                   [this] { return obsTotals().walkNs; });
-    obs.addCounter("op_ns", "summed whole-op time",
-                   [this] { return obsTotals().opNs; });
+    addCounters(root.group("obs", "latency attribution and lock "
+                                  "contention (traced paths)"),
+                kObsCounters, [this] { return obsTotals(); });
 
     // Compressed-payload counters exist only in bytes mode, so the
     // default (fixed-u64) stats dump stays byte-identical.
@@ -1695,30 +1257,8 @@ ZkvStore::registerStats(StatGroup& g)
                           codecKindName(cfg_.value.codec))));
         comp.addConst("max_value_bytes", "value length cap",
                       JsonValue(std::uint64_t{cfg_.value.maxBytes}));
-        comp.addCounter("compress_calls", "payloads compressed (puts)",
-                        [this] {
-            return compressionTotals().compressCalls;
-        });
-        comp.addCounter("decompress_calls", "payloads decoded (get hits)",
-                        [this] {
-            return compressionTotals().decompressCalls;
-        });
-        comp.addCounter("raw_bytes_total", "pre-codec bytes, all puts",
-                        [this] {
-            return compressionTotals().rawBytesTotal;
-        });
-        comp.addCounter("stored_bytes_total", "post-codec bytes, all puts",
-                        [this] {
-            return compressionTotals().storedBytesTotal;
-        });
-        comp.addCounter("resident_raw_bytes", "live entries, pre-codec",
-                        [this] {
-            return compressionTotals().residentRawBytes;
-        });
-        comp.addCounter("resident_stored_bytes",
-                        "live entries, as stored", [this] {
-            return compressionTotals().residentStoredBytes;
-        });
+        addCounters(comp, kCompressionCounters,
+                    [this] { return compressionTotals(); });
         comp.addScalar("ratio", "raw/stored bytes over all puts",
                        [this] { return compressionTotals().ratio(); });
     }
@@ -1732,9 +1272,9 @@ ZkvStore::registerStats(StatGroup& g)
 
     for (std::uint32_t i = 0; i < shards_.size(); i++) {
         StatGroup& sh = root.group("shard" + std::to_string(i));
-        registerShardCounters(sh, &shards_[i]->stats, &shards_[i]->seqc);
-        registerShardObsCounters(sh.group("obs"), &shards_[i]->obs,
-                                 &shards_[i]->seqc);
+        addCounters(sh, kOpCounters, [this, i] { return shardStats(i); });
+        addCounters(sh.group("obs"), kObsCounters,
+                    [this, i] { return shardObs(i); });
         shards_[i]->array->registerStats(sh.group("array"));
     }
 }

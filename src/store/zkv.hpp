@@ -77,7 +77,7 @@ shardLockKindName(ShardLockKind k)
 }
 
 /**
- * How get() reads a shard (docs/store.md, "Read path").
+ * How gets read a shard (docs/store.md, "Read path").
  *
  * Locked is the original semantics: every get takes the shard lock and
  * promotes the hit in the replacement policy (an LRU-style touch), so
@@ -86,11 +86,13 @@ shardLockKindName(ShardLockKind k)
  * Optimistic makes the common-case get lock-free via a per-shard
  * seqlock (ShardSeq below): the reader probes the W candidate
  * positions without the lock and retries only if a writer overlapped.
- * Lock-free reads cannot touch the (non-atomic) policy, so optimistic
- * gets — including their locked fallback — never promote recency:
- * eviction order becomes a pure function of the put/erase sequence.
- * That is a semantic switch, not just a performance one, which is why
- * it is opt-in and Locked stays the default.
+ * Lock-free reads cannot touch the (non-atomic) policy, so no
+ * optimistic-mode get promotes recency — not the lock-free ones, not
+ * their locked fallback, and not a get that a mixed batch answers
+ * under the lock: eviction order becomes a pure function of the
+ * put/erase sequence. That is a semantic switch, not just a
+ * performance one, which is why it is opt-in and Locked stays the
+ * default.
  */
 enum class ReadPath {
     Locked,     ///< every get under the shard lock, hits promote
@@ -417,30 +419,16 @@ class ShardLock
   public:
     explicit ShardLock(ShardLockKind kind) : kind_(kind) {}
 
-    void
-    lock()
-    {
-        if (kind_ == ShardLockKind::Mutex) {
-            mx_.lock();
-            return;
-        }
-        while (flag_.test_and_set(std::memory_order_acquire)) {
-            while (flag_.test(std::memory_order_relaxed)) {
-            }
-        }
-    }
+    void lock() { (void)lockInstrumented(); }
 
-    /** What an instrumented acquisition observed. */
+    /** What an acquisition observed. */
     struct Acquire
     {
         bool contended = false;   ///< the uncontended fast path failed
         std::uint32_t spins = 0;  ///< TTAS relaxed-test iterations
     };
 
-    /**
-     * lock() that reports whether it had to wait. The traced op paths
-     * use this; plain lock() stays the zero-overhead default.
-     */
+    /** lock() that also reports whether it had to wait. */
     Acquire
     lockInstrumented()
     {
@@ -570,8 +558,9 @@ class ZkvStore
     ZkvStore(const ZkvStore&) = delete;
     ZkvStore& operator=(const ZkvStore&) = delete;
 
-    /** Value for @p key, or nullopt on miss. Hits touch the policy.
-     *  Fixed-u64 stores only — bytes-mode callers use getBytes(). */
+    /** Value for @p key, or nullopt on miss (always for kReservedKey).
+     *  Hits touch the policy under ReadPath::Locked. Fixed-u64 stores
+     *  only — bytes-mode callers use getBytes(). */
     std::optional<std::uint64_t> get(std::uint64_t key);
 
     /**
@@ -583,7 +572,7 @@ class ZkvStore
      */
     Expected<PutResult> put(std::uint64_t key, std::uint64_t value);
 
-    /** Remove @p key; true iff it was resident. */
+    /** Remove @p key; true iff it was resident (never kReservedKey). */
     bool erase(std::uint64_t key);
 
     // ---- byte-payload values (value.maxBytes > 0) ------------------
@@ -632,7 +621,7 @@ class ZkvStore
                        std::span<const StoreBatchOp> ops,
                        StoreBatchResult* out);
 
-    std::uint32_t numShards() const;
+    std::uint32_t numShards() const { return cfg_.shards; }
 
     /** Shard index for @p key (splitmix64 over key and store seed). */
     std::uint32_t shardOf(std::uint64_t key) const;
@@ -647,19 +636,21 @@ class ZkvStore
     ZkvShardStats totals() const;
 
     /**
-     * Switch the op paths onto their instrumented twins: latency
-     * attribution (lock-wait / probe / walk split) and lock-contention
-     * counters always, plus one ObsOpRecord per op into @p tracer's
-     * per-thread ring when non-null (attribution-only mode otherwise).
+     * Run every op — single, batched, u64 or bytes — with the traced
+     * instantiation of the shard-op kernel (the ObsProbe policy):
+     * latency attribution (net / lock-wait / probe / walk split) and
+     * lock-contention counters always, plus one ObsOpRecord per op into
+     * @p tracer's per-thread ring when non-null (attribution-only mode
+     * otherwise). Same semantics, stats and fault sites as untraced.
      * Not thread-safe against in-flight ops — call before workers
      * start, as the load generator does. The tracer must outlive the
      * store or a disableObs() call. Disabled (the default) costs one
      * predicted-not-taken branch per op.
      */
-    void enableObs(ObsTracer* tracer);
+    void enableObs(ObsTracer* tracer) { tracer_ = tracer; obsEnabled_ = true; }
 
-    /** Back to the uninstrumented paths (same thread-safety caveat). */
-    void disableObs();
+    /** Back to the untraced kernel (same thread-safety caveat). */
+    void disableObs() { tracer_ = nullptr; obsEnabled_ = false; }
 
     bool obsEnabled() const { return obsEnabled_; }
 
@@ -723,7 +714,8 @@ class ZkvStore
 
     const ZkvConfig& config() const { return cfg_; }
 
-    /** Keys never storable: the array's invalid-address sentinel. */
+    /** Keys never storable: the array's invalid-address sentinel.
+     *  Putting it fails; getting or erasing it is a plain miss. */
     static constexpr std::uint64_t kReservedKey =
         static_cast<std::uint64_t>(kInvalidAddr);
 
@@ -741,42 +733,42 @@ class ZkvStore
 
   private:
     struct Shard;
+    struct ShardOp;
+    struct OpResult;
+    struct NullProbe;
+    class ObsProbe;
 
     explicit ZkvStore(ZkvConfig cfg);
 
-    std::optional<std::uint64_t> getTraced(std::uint64_t key);
-    Expected<PutResult> putTraced(std::uint64_t key, std::uint64_t value);
-    bool eraseTraced(std::uint64_t key);
+    /** The shard-op kernel: one Get, Put or Erase on @p sh, lock held.
+     *  @p probe is the tracing policy (NullProbe or ObsProbe). */
+    template <class Probe>
+    void applyLocked(Shard& sh, std::uint32_t shard, const ShardOp& op,
+                     OpResult& out, Probe& probe);
 
-    /**
-     * The lock-free read attempt: up to kSeqGetMaxRetries seqlock-
-     * validated probes of @p key's candidate positions. On success
-     * returns true with hit/value filled and the per-shard optimistic
-     * counters updated; on false the caller must take the locked
-     * fallback. @p retries reports validation failures either way.
-     */
-    bool tryOptimisticGet(Shard& sh, std::uint64_t key,
-                          std::uint32_t& retries, bool& hit,
-                          std::uint64_t& value);
+    /** Lock-free prelude of an optimistic get: true with @p out filled
+     *  when a seqlock-validated probe answered it, false when the kernel
+     *  must answer it under the lock. */
+    template <class Probe>
+    bool tryOptimisticGet(Shard& sh, const ShardOp& op, OpResult& out,
+                          Probe& probe);
 
-    std::optional<std::uint64_t> getOptimistic(std::uint64_t key);
-    std::optional<std::uint64_t> getOptimisticTraced(std::uint64_t key);
+    /** One op on its own: the prelude or the locked kernel, then the
+     *  durable wait. Entry points pick @p Probe from obsEnabled_. */
+    template <class Probe>
+    Status runOne(const ShardOp& op, OpResult& out);
 
-    /**
-     * The all-gets batched twin: every op tries the lock-free path
-     * independently; the (rare) failures are answered together under a
-     * single lock acquisition. Mixed batches never come here — a put
-     * between two gets must stay ordered, so they run fully locked.
-     */
-    void runShardBatchGetsOptimistic(std::uint32_t shard,
-                                     std::span<const StoreBatchOp> ops,
-                                     StoreBatchResult* out);
+    template <class Probe>
+    void runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
+                  StoreBatchResult* out, std::span<ObsOpRecord> recs);
 
-    /** Recovery-only mutators: apply state without counting stats or
-     *  re-logging (the tier is not active during replay). */
-    void replayPut(std::uint32_t shard, std::uint64_t key,
-                   std::uint64_t value);
-    void replayErase(std::uint32_t shard, std::uint64_t key);
+    /** Compress a bytes-mode put's payload ahead of the shard lock;
+     *  leaves @p comp empty for a put the kernel rejects. */
+    void compressPut(std::uint64_t key, std::span<const std::uint8_t> value,
+                     std::vector<std::uint8_t>& comp) const;
+
+    /** Structured Status for an op the kernel failed with @p code. */
+    Status opError(const ShardOp& op, ErrorCode code) const;
 
     ZkvConfig cfg_;
     std::vector<std::unique_ptr<Shard>> shards_;

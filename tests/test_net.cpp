@@ -465,6 +465,31 @@ TEST(NetServer, ReservedKeyIsInvalidArgumentOverTheWire)
     EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument);
 }
 
+TEST(NetServer, ReservedKeyGetAndEraseAreMissesOverTheWire)
+{
+    ServerFixture f;
+    {
+        auto cl = f.client();
+        ASSERT_TRUE(cl);
+        // On an empty store first: an erase that matched an empty slot
+        // would wrap the resident count.
+        for (int round = 0; round < 2; round++) {
+            auto got = cl->get(ZkvStore::kReservedKey);
+            ASSERT_TRUE(got.hasValue()) << got.status().str();
+            EXPECT_FALSE(got->has_value());
+            auto erased = cl->erase(ZkvStore::kReservedKey);
+            ASSERT_TRUE(erased.hasValue()) << erased.status().str();
+            EXPECT_FALSE(*erased);
+            ASSERT_TRUE(cl->put(7, 70).hasValue());
+        }
+    }
+    f.stop();
+    ZkvStore& kv = f.server().store();
+    EXPECT_EQ(kv.size(), 1u);
+    EXPECT_EQ(kv.totals().eraseHits, 0u);
+    EXPECT_EQ(kv.totals().getHits, 0u);
+}
+
 /**
  * Read-your-writes equivalence: the same deterministic op stream
  * against the server and against a direct ZkvStore with the identical

@@ -578,6 +578,30 @@ TEST(ZkvObsLoadGen, ObsRunReconcilesAndWindowsSum)
     std::remove(nd.c_str());
 }
 
+/** Bytes-mode ops are traced like u64 ones: one record per op. */
+TEST(ZkvObsLoadGen, BytesModeRunTracesEveryOp)
+{
+    LoadGenConfig cfg;
+    cfg.store = storeConfig();
+    cfg.store.value.maxBytes = 128;
+    cfg.store.value.codec = CodecKind::Bdi;
+    cfg.valueBytesMin = 8;
+    cfg.valueBytesMax = 128;
+    cfg.threads = 2;
+    cfg.opsPerThread = 5000;
+    cfg.seed = 7;
+    cfg.workload = "canneal";
+    cfg.obs.enabled = true; // count-only tracer
+
+    auto r = runLoadGen(cfg);
+    ASSERT_TRUE(r.hasValue()) << r.status().str();
+    const std::uint64_t total = 2u * 5000u;
+    EXPECT_EQ(r->aggregate().ops, total);
+    EXPECT_EQ(r->aggregate().verifyFailures, 0u);
+    EXPECT_EQ(r->obsRecorded + r->obsDropped, total);
+    EXPECT_GT(r->compression.compressCalls, 0u);
+}
+
 TEST(ZkvObsLoadGen, DefaultRunStaysUninstrumented)
 {
     LoadGenConfig cfg;

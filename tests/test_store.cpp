@@ -656,6 +656,142 @@ TEST(ZkvOptimistic, TracedPathMatchesPlain)
     EXPECT_EQ(po.getFallback, to.getFallback);
 }
 
+/**
+ * Gets inside a mixed batch run under the lock, and on an optimistic
+ * store they must not promote either: fed through batches that mix
+ * gets with the puts, the store still evicts exactly the victims a
+ * bare array fed only the puts picks.
+ */
+TEST(ZkvOptimistic, MixedBatchGetsDoNotPromote)
+{
+    ZkvConfig cfg = optimisticConfig(/*shards=*/1, /*blocks=*/64);
+    auto kv = mustCreate(cfg);
+    auto bare = makeArray(cfg.shardSpec(0));
+
+    std::vector<std::uint64_t> store_evicted;
+    std::vector<std::uint64_t> bare_evicted;
+    Pcg32 rng(99);
+    int puts = 0;
+    while (puts < 2000) {
+        // 2..8 ops per batch: a get, a put, then either.
+        std::vector<StoreBatchOp> ops(2 + rng.next() % 7);
+        for (std::size_t i = 0; i < ops.size(); i++) {
+            ops[i].key = rng.next64() % 256;
+            ops[i].value = ops[i].key * 3;
+            const bool put = i == 1 || (i > 1 && rng.uniform() < 0.5);
+            ops[i].kind = put ? ObsOp::Put : ObsOp::Get;
+        }
+        std::vector<StoreBatchResult> out(ops.size());
+        kv->runShardBatch(0, std::span<const StoreBatchOp>(ops), out.data());
+        for (std::size_t i = 0; i < ops.size(); i++) {
+            if (ops[i].kind != ObsOp::Put) continue;
+            puts++;
+            ASSERT_EQ(out[i].code, ErrorCode::Ok);
+            if (out[i].evicted) store_evicted.push_back(out[i].evictedKey);
+            AccessContext ctx{ops[i].key, kNoNextUse};
+            if (bare->access(ops[i].key, ctx) == kInvalidPos) {
+                Replacement r = bare->insert(ops[i].key, ctx);
+                if (r.evictedValid()) bare_evicted.push_back(r.evictedAddr);
+            }
+        }
+    }
+    ASSERT_GT(store_evicted.size(), 100u);
+    EXPECT_EQ(store_evicted, bare_evicted);
+}
+
+/**
+ * The reserved key is the arrays' empty-slot tag. A get or erase of it
+ * is a plain miss on every shard kind, read path and entry point: it
+ * never matches an empty slot, so an erase can neither report a hit
+ * nor wrap the resident count, and the walk never sees the key.
+ */
+TEST(ZkvStore, ReservedKeyGetAndEraseAreMisses)
+{
+    constexpr std::uint64_t kR = ZkvStore::kReservedKey;
+    for (ArrayKind kind : {ArrayKind::ZCache, ArrayKind::SetAssoc}) {
+        for (ReadPath rp : {ReadPath::Locked, ReadPath::Optimistic}) {
+            SCOPED_TRACE(std::string(arrayKindName(kind)) + " " +
+                         readPathName(rp));
+            ZkvConfig cfg = tinyConfig(/*shards=*/1, /*blocks=*/64);
+            cfg.array.kind = kind;
+            cfg.readPath = rp;
+            auto kv = mustCreate(cfg);
+            auto bare = makeArray(cfg.shardSpec(0));
+
+            EXPECT_EQ(kv->get(kR), std::nullopt);
+            EXPECT_FALSE(kv->erase(kR));
+            EXPECT_EQ(kv->size(), 0u);
+
+            // Puts into a full shard, each followed by reserved ops:
+            // the eviction sequence is the bare array's.
+            std::vector<std::uint64_t> store_evicted;
+            std::vector<std::uint64_t> bare_evicted;
+            for (std::uint64_t k = 1; k <= 300; k++) {
+                auto pr = kv->put(k, k * 7);
+                ASSERT_TRUE(pr.hasValue());
+                if (pr->evicted) store_evicted.push_back(pr->evictedKey);
+                AccessContext ctx{k, kNoNextUse};
+                if (bare->access(k, ctx) == kInvalidPos) {
+                    Replacement r = bare->insert(k, ctx);
+                    if (r.evictedValid()) {
+                        bare_evicted.push_back(r.evictedAddr);
+                    }
+                }
+                EXPECT_EQ(kv->get(kR), std::nullopt);
+                EXPECT_FALSE(kv->erase(kR));
+            }
+            ASSERT_FALSE(store_evicted.empty());
+            EXPECT_EQ(store_evicted, bare_evicted);
+            EXPECT_EQ(kv->size(), bare->validCount());
+
+            // Batches: all gets (the lock-free pass when optimistic)
+            // and mixed (under the lock). The last put is resident.
+            const std::uint64_t live = 300;
+            std::vector<StoreBatchOp> gets(2);
+            gets[0].key = kR;
+            gets[1].key = live;
+            std::vector<StoreBatchOp> mixed(3);
+            mixed[0].kind = ObsOp::Erase;
+            mixed[0].key = kR;
+            mixed[1].key = kR;
+            mixed[2].kind = ObsOp::Erase;
+            mixed[2].key = live;
+            std::vector<StoreBatchResult> out(3);
+            kv->runShardBatch(0, std::span<const StoreBatchOp>(gets),
+                              out.data());
+            EXPECT_FALSE(out[0].hit);
+            EXPECT_TRUE(out[1].hit);
+            EXPECT_EQ(out[1].value, live * 7);
+            kv->runShardBatch(0, std::span<const StoreBatchOp>(mixed),
+                              out.data());
+            EXPECT_FALSE(out[0].hit);
+            EXPECT_FALSE(out[1].hit);
+            EXPECT_TRUE(out[2].hit);
+            EXPECT_EQ(kv->size(), bare->validCount() - 1);
+
+            ZkvShardStats t = kv->totals();
+            EXPECT_EQ(t.gets, 1u + 300u + 2u + 1u);
+            EXPECT_EQ(t.getHits, 1u);
+            EXPECT_EQ(t.erases, 1u + 300u + 2u);
+            EXPECT_EQ(t.eraseHits, 1u);
+        }
+    }
+}
+
+TEST(ZkvStore, ReservedKeyIsABytesModeMissToo)
+{
+    ZkvConfig cfg = tinyConfig();
+    cfg.value.maxBytes = 32;
+    cfg.value.codec = CodecKind::Bdi;
+    auto kv = mustCreate(cfg);
+    auto miss = kv->getBytes(ZkvStore::kReservedKey);
+    ASSERT_TRUE(miss.hasValue());
+    EXPECT_FALSE(miss->has_value());
+    EXPECT_FALSE(kv->erase(ZkvStore::kReservedKey));
+    EXPECT_EQ(kv->size(), 0u);
+    EXPECT_EQ(kv->compressionTotals().decompressCalls, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Concurrency (run under TSan in CI): >= 4 threads over >= 2 shards
 // with strict read-your-writes on per-thread key ranges.
