@@ -32,13 +32,12 @@ using namespace zc;
 int
 main(int argc, char** argv)
 {
-    std::string suite_s = benchutil::flag(argc, argv, "workloads", "quick");
     std::uint64_t warmup = benchutil::flagU64(argc, argv, "warmup", 100000);
     std::uint64_t instr = benchutil::flagU64(argc, argv, "instr", 100000);
     benchutil::JsonReport report(argc, argv, "bandwidth_analysis");
 
     std::vector<std::string> wls =
-        suite::resolve(suite_s, suite::quickBandwidth());
+        benchutil::workloadsFlag(argc, argv, suite::quickBandwidth());
 
     auto z52 = [&](const std::string& workload) {
         RunParams p;

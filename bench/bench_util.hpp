@@ -21,8 +21,9 @@
  *   1  one or more grid points failed (their errors are on stderr and
  *      counted under "sweep.failed" in --json output) or an output file
  *      could not be written;
- *   2  usage error — unknown flag value (policy/design name) or a
- *      structured journal refusal (corrupt header, wrong grid).
+ *   2  usage error — unknown flag value (policy/design/workload
+ *      name) or a structured journal refusal (corrupt header, wrong
+ *      grid).
  */
 
 #pragma once
@@ -39,6 +40,7 @@
 #include "common/json.hpp"
 #include "common/perf_telemetry.hpp"
 #include "runner/sweep.hpp"
+#include "runner/workload_suite.hpp"
 
 namespace zc::benchutil {
 
@@ -99,6 +101,24 @@ sweepOptions(int argc, char** argv, const std::string& label)
     o.journalPath = flag(argc, argv, "journal", "");
     o.resumePath = flag(argc, argv, "resume", "");
     return o;
+}
+
+/**
+ * The --workloads flag (default "quick") resolved by suite::resolve,
+ * with the usage-error contract of the CLI: an unknown workload name
+ * prints the diagnostic and exits 2.
+ */
+inline std::vector<std::string>
+workloadsFlag(int argc, char** argv, const std::vector<std::string>& quick)
+{
+    const std::string value = flag(argc, argv, "workloads", "quick");
+    try {
+        return zc::suite::resolve(value, quick);
+    } catch (const zc::StatusError& e) {
+        std::fprintf(stderr, "error: --workloads=%s: %s\n", value.c_str(),
+                     e.what());
+        std::exit(2);
+    }
 }
 
 /**

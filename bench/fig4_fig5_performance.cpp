@@ -29,8 +29,8 @@
  *  - parallel lookup helps hit-latency-bound workloads, but its energy
  *    premium grows steeply with SA ways while zcaches keep it small.
  *
- * Flags: --policy=lru|opt|both  --workloads=quick|all  --verbose
- *        --warmup=N --instr=N  --serial-only  --json=PATH
+ * Flags: --policy=lru|opt|both  --workloads=quick|all|NAME[,NAME...]
+ *        --verbose  --warmup=N --instr=N  --serial-only  --json=PATH
  *        --jobs=N --no-progress  --metrics-out=PATH
  *
  * --metrics-out streams every grid point's epoch-sampler series into
@@ -229,11 +229,19 @@ fig5(const ResultTable& table, const std::vector<std::string>& suite,
         base_bw_top = geomean(b_top);
     }
 
+    // The plotted workloads that a --workloads list left in the suite.
+    std::vector<std::string> shown;
+    for (const auto& wl : kFig5Workloads) {
+        if (std::find(suite.begin(), suite.end(), wl) != suite.end()) {
+            shown.push_back(wl);
+        }
+    }
+
     for (const char* metric : {"IPC", "BIPS/W"}) {
         bool ipc = metric[0] == 'I';
         std::printf("\nnormalized %s:\n", metric);
         std::printf("  %-16s", "design");
-        for (const auto& wl : kFig5Workloads) {
+        for (const auto& wl : shown) {
             std::printf(" %12s", wl.substr(0, 12).c_str());
         }
         std::printf(" %12s %12s\n", "gmean(all)", "gmean(top10)");
@@ -243,7 +251,7 @@ fig5(const ResultTable& table, const std::vector<std::string>& suite,
                 if (serial_only && !serial) continue;
                 std::printf("  %-16s",
                             (d.label + (serial ? " ser" : " par")).c_str());
-                for (const auto& wl : kFig5Workloads) {
+                for (const auto& wl : shown) {
                     const RunResult& b = table.get(wl, base, true, policy);
                     const RunResult& r = table.get(wl, d, serial, policy);
                     double num = ipc ? r.ipc : r.bipsPerWatt;
@@ -323,7 +331,6 @@ int
 main(int argc, char** argv)
 {
     std::string policy_s = benchutil::flag(argc, argv, "policy", "both");
-    std::string suite_s = benchutil::flag(argc, argv, "workloads", "quick");
     bool verbose = benchutil::flagBool(argc, argv, "verbose");
     bool serial_only = benchutil::flagBool(argc, argv, "serial-only");
     std::uint64_t warmup = benchutil::flagU64(argc, argv, "warmup", 120000);
@@ -332,7 +339,7 @@ main(int argc, char** argv)
         benchutil::flag(argc, argv, "metrics-out", "");
 
     std::vector<std::string> wls =
-        suite::resolve(suite_s, suite::quickPerformance());
+        benchutil::workloadsFlag(argc, argv, suite::quickPerformance());
 
     std::printf("Table I system: 32 in-order cores @2GHz, 32KB 4-way L1s, "
                 "8MB 8-bank shared L2 (organization under test), MESI "

@@ -63,29 +63,35 @@ wordCount(std::size_t n)
  * Try a base+delta encoding with @p DeltaBytes-wide deltas over
  * @p Word-sized words. The base is the first word (the common BDI
  * simplification); a payload fits iff every word's signed delta from
- * the base fits DeltaBytes. Returns the encoded size, or 0 on no fit.
+ * the base, taken modulo 2^64, fits DeltaBytes. Returns the encoded
+ * size, or 0 on no fit. The encoding is written to @p dst only when
+ * its size is within @p cap; a larger one is sized but not written
+ * (it is never smaller than the raw fallback that cap admits).
  */
 template <typename Word, std::size_t DeltaBytes>
 std::size_t
-tryBaseDelta(const std::uint8_t* src, std::size_t n, std::uint8_t* dst)
+tryBaseDelta(const std::uint8_t* src, std::size_t n, std::uint8_t* dst,
+             std::size_t cap)
 {
     const std::size_t words = wordCount<Word>(n);
+    const std::size_t size = kHeaderBytes + sizeof(Word) + words * DeltaBytes;
+    const bool write = size <= cap;
     const Word base = paddedWord<Word>(src, n, 0);
     const std::int64_t lo = -(std::int64_t{1} << (8 * DeltaBytes - 1));
     const std::int64_t hi = (std::int64_t{1} << (8 * DeltaBytes - 1)) - 1;
     std::size_t out = kHeaderBytes;
-    std::memcpy(dst + out, &base, sizeof(Word));
+    if (write) std::memcpy(dst + out, &base, sizeof(Word));
     out += sizeof(Word);
     for (std::size_t i = 0; i < words; i++) {
         const Word w = paddedWord<Word>(src, n, i);
-        const std::int64_t delta =
-            static_cast<std::int64_t>(w) - static_cast<std::int64_t>(base);
+        const std::uint64_t d = static_cast<std::uint64_t>(w) -
+                                static_cast<std::uint64_t>(base);
+        const auto delta = static_cast<std::int64_t>(d);
         if (delta < lo || delta > hi) return 0;
-        const auto d = static_cast<std::uint64_t>(delta);
-        std::memcpy(dst + out, &d, DeltaBytes);
+        if (write) std::memcpy(dst + out, &d, DeltaBytes);
         out += DeltaBytes;
     }
-    return out;
+    return size;
 }
 
 template <typename Word, std::size_t DeltaBytes>
@@ -103,11 +109,12 @@ decodeBaseDelta(const std::uint8_t* src, std::size_t n, std::uint8_t* dst,
         std::uint64_t raw = 0;
         std::memcpy(&raw, src + off, DeltaBytes);
         off += DeltaBytes;
-        // Sign-extend the delta.
+        // Sign-extend the delta; the sum wraps modulo 2^64 like the
+        // encoder's difference.
         const std::uint64_t sign = std::uint64_t{1} << (8 * DeltaBytes - 1);
-        std::int64_t delta = static_cast<std::int64_t>((raw ^ sign) - sign);
-        const Word w = static_cast<Word>(static_cast<std::int64_t>(base) +
-                                         delta);
+        const std::uint64_t delta = (raw ^ sign) - sign;
+        const auto w =
+            static_cast<Word>(static_cast<std::uint64_t>(base) + delta);
         const std::size_t take = std::min(sizeof(Word), orig - written);
         std::memcpy(dst + written, &w, take);
         written += take;
@@ -226,18 +233,18 @@ class BdiCodec final : public Codec
                 best_scheme = s;
             }
         };
-        consider(kB8D1, tryBaseDelta<std::uint64_t, 1>(src, n, dst));
+        consider(kB8D1, tryBaseDelta<std::uint64_t, 1>(src, n, dst, cap));
         if (best == 0) {
-            consider(kB4D1, tryBaseDelta<std::uint32_t, 1>(src, n, dst));
+            consider(kB4D1, tryBaseDelta<std::uint32_t, 1>(src, n, dst, cap));
         }
         if (best == 0) {
-            consider(kB8D2, tryBaseDelta<std::uint64_t, 2>(src, n, dst));
+            consider(kB8D2, tryBaseDelta<std::uint64_t, 2>(src, n, dst, cap));
         }
         if (best == 0) {
-            consider(kB4D2, tryBaseDelta<std::uint32_t, 2>(src, n, dst));
+            consider(kB4D2, tryBaseDelta<std::uint32_t, 2>(src, n, dst, cap));
         }
         if (best == 0) {
-            consider(kB8D4, tryBaseDelta<std::uint64_t, 4>(src, n, dst));
+            consider(kB8D4, tryBaseDelta<std::uint64_t, 4>(src, n, dst, cap));
         }
         if (best != 0 && best < kHeaderBytes + n) {
             putHeader(dst, best_scheme, n);
@@ -282,13 +289,13 @@ class BdiCodec final : public Codec
         const std::size_t body_n = n - kHeaderBytes;
         bool ok = false;
         switch (static_cast<Scheme>(scheme)) {
-          case kRaw:
+          case kRaw: // orig == 0 may carry a null dst
             ok = body_n == orig;
-            if (ok) std::memcpy(dst, body, orig);
+            if (ok && orig != 0) std::memcpy(dst, body, orig);
             break;
           case kZeros:
             ok = body_n == 0;
-            if (ok) std::memset(dst, 0, orig);
+            if (ok && orig != 0) std::memset(dst, 0, orig);
             break;
           case kRep8: {
             ok = body_n == 8 && orig > 0;

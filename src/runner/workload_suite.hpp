@@ -55,15 +55,28 @@ quickBandwidth()
 
 /**
  * Resolve a --workloads flag value: "all" yields the full 72-workload
- * registry (in paper order); anything else yields @p quick.
+ * registry (in paper order), "quick" yields @p quick, and anything else
+ * is a comma-separated list of registry names, kept in the given order.
+ * Throws StatusError(NotFound) naming the first unknown name.
  */
 inline std::vector<std::string>
 resolve(const std::string& flag_value, const std::vector<std::string>& quick)
 {
-    if (flag_value != "all") return quick;
+    if (flag_value == "quick") return quick;
     std::vector<std::string> names;
-    for (const auto& w : WorkloadRegistry::all()) names.push_back(w.name);
-    return names;
+    if (flag_value == "all") {
+        for (const auto& w : WorkloadRegistry::all()) names.push_back(w.name);
+        return names;
+    }
+    std::size_t start = 0;
+    while (true) {
+        const std::size_t comma = flag_value.find(',', start);
+        names.push_back(
+            WorkloadRegistry::byName(flag_value.substr(start, comma - start))
+                .name);
+        if (comma == std::string::npos) return names;
+        start = comma + 1;
+    }
 }
 
 /**

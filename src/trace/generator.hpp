@@ -17,6 +17,8 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -114,6 +116,48 @@ class UniformRandomGenerator final : public AccessGenerator
 };
 
 /**
+ * Inverse-CDF table of a Zipf(alpha) distribution over @p size ranks:
+ * rank i has probability proportional to 1/(i+1)^alpha. Immutable, and
+ * shared by every ZipfGenerator with the same (size, alpha) through
+ * get().
+ *
+ * rank() is std::lower_bound over the CDF in O(1) expected time: a
+ * guide table of M buckets (M a power of two >= 2 * size) holds
+ * guide[k] = lower_bound(cdf, k/M). M is a power of two, so u*M is
+ * exact and every CDF entry before guide[floor(u*M)] is < k/M <= u;
+ * scanning forward from there while cdf[r] < u therefore stops at
+ * lower_bound(cdf, u). The scan is under half an entry on average.
+ */
+class ZipfTable
+{
+  public:
+    ZipfTable(std::uint64_t size, double alpha);
+
+    /** The table for (size, alpha), shared while any holder lives. */
+    static std::shared_ptr<const ZipfTable> get(std::uint64_t size,
+                                                double alpha);
+
+    /** lower_bound(cdf, u) clamped to the last rank. */
+    std::uint64_t
+    rank(double u) const
+    {
+        std::uint64_t r = guide_[static_cast<std::uint64_t>(u * buckets_)];
+        while (r + 1 < cdf_.size() && cdf_[r] < u) r++;
+        return r;
+    }
+
+    const std::vector<double>& cdf() const { return cdf_; }
+
+    /** M, the number of guide buckets. */
+    double buckets() const { return buckets_; }
+
+  private:
+    std::vector<double> cdf_;
+    std::vector<std::uint32_t> guide_;
+    double buckets_;
+};
+
+/**
  * Zipfian references over a region: line i (after a seeded permutation)
  * is drawn with probability proportional to 1/(i+1)^alpha. Models hot
  * working sets with temporal locality — the common case in SPEC-like
@@ -131,7 +175,7 @@ class ZipfGenerator final : public AccessGenerator
     Addr base_;
     std::uint64_t footprint_;
     Pcg32 rng_;
-    std::vector<double> cdf_;
+    std::shared_ptr<const ZipfTable> table_;
     std::uint64_t permMul_;
     std::uint64_t permAdd_;
 };
@@ -143,7 +187,10 @@ class ZipfGenerator final : public AccessGenerator
  *
  * The cycle is stored in visit order: Sattolo's permutation perm is
  * one n-cycle perm[0] -> perm[1] -> ... -> perm[n-1] -> perm[0], so the
- * chase is a cursor over perm and a skip is modular arithmetic.
+ * chase is a cursor over perm and a skip is modular arithmetic. The
+ * permutation depends only on (seed, footprint) and is immutable, so
+ * every chase over the same cycle (the threads of a shared region)
+ * holds one copy of it.
  */
 class PointerChaseGenerator final : public AccessGenerator
 {
@@ -168,11 +215,62 @@ class PointerChaseGenerator final : public AccessGenerator
 
   private:
     Addr base_;
-    std::vector<std::uint32_t> perm_; ///< lines in visit order
-    std::uint32_t cur_ = 0;           ///< index into perm_
+    std::shared_ptr<const std::vector<std::uint32_t>> perm_; ///< visit order
+    std::uint32_t cur_ = 0; ///< index into perm_
     std::uint32_t repeat_;
     std::uint32_t emitted_ = 0;
 };
+
+/**
+ * The geometric instruction gap of CompositeGenerator as a table.
+ * exactGap(v) = min(uint32(log(1 - v) / log(1 - p)), 10000) with
+ * p = 1/(1 + mean) is monotone in v, so threshold(g) is the least
+ * double v whose gap exceeds g (found by bisection over the bit
+ * patterns of doubles; 1.0 when no v < 1 gets there). The number of
+ * thresholds <= v is then exactGap(v) whenever that is below kSteps.
+ * gap(v) counts them as ZipfTable::rank finds a rank: a guide of
+ * kBuckets entries holds the count at each bucket edge b/kBuckets, and
+ * a forward scan adds the thresholds between that edge and v. Beyond
+ * the table it falls back to exactGap. Immutable, and shared by every
+ * generator with the same mean through get().
+ */
+class InstGapTable
+{
+  public:
+    static constexpr std::uint32_t kSteps = 64;
+    static constexpr std::uint32_t kBuckets = 1024;
+
+    explicit InstGapTable(double mean_inst_gap);
+
+    /** The table for @p mean_inst_gap (> 0), shared while held. */
+    static std::shared_ptr<const InstGapTable> get(double mean_inst_gap);
+
+    std::uint32_t exactGap(double v) const;
+
+    /** exactGap(v) for v in [0, 1), by table lookup. */
+    std::uint32_t
+    gap(double v) const
+    {
+        std::uint32_t g = guide_[static_cast<std::uint32_t>(v * kBuckets)];
+        while (v >= thr_[g]) g++; // thr_[kSteps] is a +inf sentinel
+        return g < kSteps ? g : exactGap(v);
+    }
+
+    /** The least double v with exactGap(v) > g, for g < kSteps. */
+    double threshold(std::uint32_t g) const { return thr_[g]; }
+
+  private:
+    double logKeep_; ///< log(1 - p)
+    std::array<double, kSteps + 1> thr_;
+    std::array<std::uint8_t, kBuckets> guide_;
+};
+
+/**
+ * Number of interned generator tables (Zipf CDFs, chase cycles, gap
+ * thresholds) that some generator still holds. Tables are interned
+ * weakly: each dies with its last holder.
+ */
+std::size_t liveGeneratorTables();
 
 /** One weighted component of a CompositeGenerator. */
 struct MixComponent
@@ -204,8 +302,7 @@ class CompositeGenerator final : public AccessGenerator
     std::vector<MixComponent> components_;
     std::vector<double> cumWeights_;
     double storeFrac_;
-    double meanInstGap_;
-    double logKeep_ = 0.0; ///< log(1 - p) of the geometric gap
+    std::shared_ptr<const InstGapTable> gaps_; ///< null: no gap
     Pcg32 rng_;
 };
 

@@ -22,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -163,6 +165,134 @@ TEST(Codec, UndersizedOutputBufferIsAStructuredError)
         ASSERT_FALSE(n.hasValue()) << c->name();
         EXPECT_EQ(n.status().code(), ErrorCode::InvalidArgument)
             << c->name();
+    }
+}
+
+/**
+ * Payloads of 1-96 bytes over every BDI scheme: zero, repeated and
+ * delta classes from ContentModel, u64 and u32 words with deltas of
+ * each width (both signs), and incompressible bytes.
+ */
+std::vector<std::vector<std::uint8_t>>
+bdiCorpus()
+{
+    Pcg32 rng(0xbd1);
+    ContentModel model;
+    std::vector<std::vector<std::uint8_t>> corpus;
+    for (std::size_t n = 1; n <= 96; n++) {
+        for (int kind = 0; kind < 7; kind++) {
+            std::vector<std::uint8_t> v(n);
+            const std::uint64_t base = rng.next64();
+            const std::int64_t span[] = {0, 100, 30000, std::int64_t{1} << 30,
+                                         100, 30000, 0};
+            for (std::size_t off = 0; off < n; off += 8) {
+                std::uint64_t w = 0;
+                if (kind >= 1 && kind <= 3) {
+                    const auto d = static_cast<std::int64_t>(
+                                       rng.next64() % (2 * span[kind])) -
+                                   span[kind];
+                    w = base + static_cast<std::uint64_t>(d);
+                } else if (kind == 4 || kind == 5) {
+                    for (int h = 0; h < 2; h++) {
+                        const auto d = static_cast<std::int64_t>(
+                                           rng.next64() % (2 * span[kind])) -
+                                       span[kind];
+                        const auto half = static_cast<std::uint32_t>(
+                            static_cast<std::uint32_t>(base) +
+                            static_cast<std::uint32_t>(d));
+                        w |= std::uint64_t{half} << (32 * h);
+                    }
+                } else {
+                    w = rng.next64();
+                }
+                std::memcpy(v.data() + off, &w,
+                            std::min<std::size_t>(8, n - off));
+            }
+            if (kind == 0) model.fill(n * 7919, v.data(), n);
+            corpus.push_back(std::move(v));
+        }
+    }
+    return corpus;
+}
+
+/** FNV-1a over each payload's BDI stream, compressed with room to spare. */
+std::uint64_t
+bdiCorpusChecksum(const Codec& c)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto& src : bdiCorpus()) {
+        std::vector<std::uint8_t> comp(c.maxCompressedSize(src.size()) + 16);
+        auto n = c.compress(src.data(), src.size(), comp.data(), comp.size());
+        if (!n.hasValue()) return 0;
+        for (std::size_t i = 0; i < *n; i++) {
+            h = (h ^ comp[i]) * 0x100000001b3ULL;
+        }
+        h = (h ^ *n) * 0x100000001b3ULL;
+    }
+    return h;
+}
+
+// The streams of the corpus as the codec wrote them before it checked
+// encoded sizes against the buffer and computed deltas modulo 2^64:
+// neither fix may change a stream that was written in bounds.
+TEST(Codec, BdiStreamsArePinned)
+{
+    auto c = makeCodec(CodecKind::Bdi);
+    EXPECT_EQ(bdiCorpusChecksum(*c), 0xcd7cb4a9f1f65d54ULL);
+}
+
+// Short payloads used to be written past a buffer of exactly
+// maxCompressedSize(n): each trial base+delta encoding wrote its base
+// word before it knew whether the encoding fit.
+TEST(Codec, BdiStaysInsideAnExactlySizedBuffer)
+{
+    auto c = makeCodec(CodecKind::Bdi);
+    for (const auto& src : bdiCorpus()) {
+        const std::size_t n = src.size();
+        if (n > 16) continue;
+        const std::size_t cap = c->maxCompressedSize(n);
+        std::vector<std::uint8_t> roomy(cap + 16);
+        auto want = c->compress(src.data(), n, roomy.data(), roomy.size());
+        ASSERT_TRUE(want.hasValue());
+
+        std::vector<std::uint8_t> buf(cap + 32, 0xee);
+        auto got = c->compress(src.data(), n, buf.data(), cap);
+        ASSERT_TRUE(got.hasValue()) << "n=" << n;
+        ASSERT_EQ(*got, *want) << "n=" << n;
+        EXPECT_TRUE(std::equal(buf.begin(), buf.begin() + *got,
+                               roomy.begin()))
+            << "n=" << n;
+        EXPECT_TRUE(std::all_of(buf.begin() + cap, buf.end(),
+                                [](std::uint8_t b) { return b == 0xee; }))
+            << "wrote past maxCompressedSize(" << n << ")";
+
+        std::vector<std::uint8_t> out(n);
+        auto m = c->decompress(buf.data(), *got, out.data(), n);
+        ASSERT_TRUE(m.hasValue());
+        EXPECT_EQ(out, src) << "n=" << n;
+    }
+}
+
+// INT64_MAX and INT64_MIN are one apart modulo 2^64: the pair takes a
+// 1-byte delta, and neither the encoder's difference nor the decoder's
+// sum may overflow a signed type (UBSan halts on it).
+TEST(Codec, BdiDeltasWrapAtTheInt64Extremes)
+{
+    auto c = makeCodec(CodecKind::Bdi);
+    const std::uint64_t max = std::numeric_limits<std::int64_t>::max();
+    const std::uint64_t min = max + 1;
+    for (const auto& words : {std::vector<std::uint64_t>{max, min},
+                              std::vector<std::uint64_t>{min, max}}) {
+        std::vector<std::uint8_t> src(16);
+        std::memcpy(src.data(), words.data(), 16);
+        std::vector<std::uint8_t> comp(c->maxCompressedSize(16));
+        auto n = c->compress(src.data(), 16, comp.data(), comp.size());
+        ASSERT_TRUE(n.hasValue());
+        EXPECT_EQ(*n, 3u + 8u + 2u); // header, base, two 1-byte deltas
+        std::vector<std::uint8_t> out(16);
+        auto m = c->decompress(comp.data(), *n, out.data(), out.size());
+        ASSERT_TRUE(m.hasValue());
+        EXPECT_EQ(out, src);
     }
 }
 

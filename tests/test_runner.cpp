@@ -19,6 +19,7 @@
 
 #include "runner/sweep.hpp"
 #include "runner/thread_pool.hpp"
+#include "runner/workload_suite.hpp"
 
 namespace zc {
 namespace {
@@ -368,6 +369,45 @@ TEST(SweepRunner, JobsZeroRunsFullSweep)
     auto outs = SweepRunner(quiet(0)).run(spec);
     ASSERT_EQ(outs.size(), 2u);
     for (const auto& o : outs) EXPECT_TRUE(o.ok) << o.error;
+}
+
+// --------------------------------------------------- suite::resolve
+
+TEST(SuiteResolve, AllIsTheWholeRegistryInPaperOrder)
+{
+    std::vector<std::string> all = suite::resolve("all", {"mcf"});
+    ASSERT_EQ(all.size(), WorkloadRegistry::all().size());
+    for (std::size_t i = 0; i < all.size(); i++) {
+        EXPECT_EQ(all[i], WorkloadRegistry::all()[i].name);
+    }
+}
+
+TEST(SuiteResolve, QuickIsTheGivenSuite)
+{
+    EXPECT_EQ(suite::resolve("quick", suite::quickPerformance()),
+              suite::quickPerformance());
+    EXPECT_EQ(suite::resolve("quick", suite::quickBandwidth()),
+              suite::quickBandwidth());
+}
+
+TEST(SuiteResolve, CommaListKeepsTheGivenOrder)
+{
+    EXPECT_EQ(suite::resolve("mcf,canneal,gamess", suite::quickPerformance()),
+              (std::vector<std::string>{"mcf", "canneal", "gamess"}));
+    EXPECT_EQ(suite::resolve("cpu2K6rand7", suite::quickPerformance()),
+              (std::vector<std::string>{"cpu2K6rand7"}));
+}
+
+TEST(SuiteResolve, UnknownNameIsNotFound)
+{
+    for (const char* value : {"mcf,nope", "Quick", "", "mcf,", "mcf,,gcc"}) {
+        try {
+            suite::resolve(value, suite::quickPerformance());
+            ADD_FAILURE() << "'" << value << "' resolved";
+        } catch (const StatusError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::NotFound) << value;
+        }
+    }
 }
 
 } // namespace

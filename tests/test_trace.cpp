@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/rng.hpp"
 #include "trace/future_use.hpp"
 #include "trace/generator.hpp"
 #include "trace/mem_record.hpp"
@@ -157,6 +162,14 @@ TEST(GoldenStream, CoreGenerators)
         {"mcf", 31, 0x1e15dca8af1d7b91ULL},
         {"canneal", 0, 0x4492dabfce399c10ULL},
         {"canneal", 31, 0xc8ed55e80fb26bb6ULL},
+        {"gamess", 0, 0xd9e73b1b8cbfaa52ULL},
+        {"gamess", 31, 0xf600e6f044fe1832ULL},
+        {"blackscholes", 0, 0xee7f94a6dac80bbeULL},
+        {"blackscholes", 31, 0x1817d4a0d0b6e051ULL},
+        {"cpu2K6rand0", 0, 0x5e36a74710e53666ULL},
+        {"cpu2K6rand0", 31, 0x3e20b7a692bd9aaeULL},
+        {"wupwise", 0, 0xc9db14a3eef4edb4ULL},
+        {"wupwise", 31, 0x11cafa7b5f107629ULL},
     };
     for (const Case& c : cases) {
         auto g = WorkloadRegistry::makeCoreGenerator(
@@ -164,6 +177,192 @@ TEST(GoldenStream, CoreGenerators)
         EXPECT_EQ(streamChecksum(*g, 200000), c.sum)
             << c.workload << " core " << c.core;
     }
+
+    // Bare generators at the edges of the table-driven paths: a Zipf
+    // region above the 2^20-rank table cap, a uniform (alpha 0) Zipf,
+    // and a composite with no instruction gap.
+    struct BareCase
+    {
+        const char* name;
+        std::function<GeneratorPtr()> make;
+        std::uint64_t sum;
+    };
+    const BareCase bare[] = {
+        {"zipf above cap",
+         [] {
+             return std::make_unique<ZipfGenerator>(Addr{1} << 36,
+                                                    (1u << 20) + 300007,
+                                                    0.95, 11);
+         },
+         0x734d32c55143a2c4ULL},
+        {"zipf alpha 0",
+         [] {
+             return std::make_unique<ZipfGenerator>(Addr{1} << 37, 40009,
+                                                    0.0, 12);
+         },
+         0x7a5bcbc341a92ee0ULL},
+        {"composite gap 0",
+         [] {
+             std::vector<MixComponent> comps;
+             comps.push_back({std::make_unique<ZipfGenerator>(
+                                  Addr{1} << 38, 5000, 1.1, 13),
+                              0.6});
+             comps.push_back({std::make_unique<StridedGenerator>(
+                                  Addr{1} << 39, 9000, 3, 2),
+                              0.25});
+             comps.push_back({std::make_unique<PointerChaseGenerator>(
+                                  Addr{1} << 40, 7001, 14, 2),
+                              0.15});
+             return std::make_unique<CompositeGenerator>(std::move(comps),
+                                                         0.3, 0.0, 15);
+         },
+         0x1d0d8714fe9a2f05ULL},
+    };
+    for (const BareCase& c : bare) {
+        GeneratorPtr g = c.make();
+        EXPECT_EQ(streamChecksum(*g, 200000), c.sum) << c.name;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shared tables: the table-driven lookups equal the formulas they
+// replace, and interning is thread-safe and bounded.
+// ---------------------------------------------------------------------
+
+/** Every distinct instruction-gap mean of the registry (mixes reuse
+ *  the CPU2006 profiles, which all() contains). */
+std::set<double>
+registryGapMeans()
+{
+    std::set<double> means;
+    for (const auto& w : WorkloadRegistry::all()) {
+        if (w.params.meanInstGap > 0.0) means.insert(w.params.meanInstGap);
+    }
+    return means;
+}
+
+TEST(InstGapTable, EqualsTheLogFormula)
+{
+    const std::set<double> means = registryGapMeans();
+    ASSERT_GE(means.size(), 5u);
+    for (double mean : means) {
+        const double log_keep = std::log(1.0 - 1.0 / (1.0 + mean));
+        auto formula = [log_keep](double v) {
+            auto gap = static_cast<std::uint32_t>(std::log(1.0 - v) /
+                                                  log_keep);
+            return std::min<std::uint32_t>(gap, 10000);
+        };
+        auto table = InstGapTable::get(mean);
+        for (std::uint32_t g = 0; g < InstGapTable::kSteps; g++) {
+            const double thr = table->threshold(g);
+            if (thr >= 1.0) continue; // no v < 1 has a gap above g
+            const double below = std::nextafter(thr, 0.0);
+            EXPECT_GT(formula(thr), g) << "mean " << mean;
+            EXPECT_LE(formula(below), g) << "mean " << mean;
+            EXPECT_EQ(table->gap(thr), formula(thr)) << "mean " << mean;
+            EXPECT_EQ(table->gap(below), formula(below))
+                << "mean " << mean;
+        }
+        Pcg32 rng(static_cast<std::uint64_t>(mean * 1000));
+        std::uint64_t mismatches = 0;
+        for (int i = 0; i < 1000000; i++) {
+            const double v = rng.uniform();
+            if (table->gap(v) != formula(v)) mismatches++;
+        }
+        EXPECT_EQ(mismatches, 0u) << "mean " << mean;
+    }
+}
+
+TEST(ZipfTable, RankEqualsLowerBound)
+{
+    std::set<std::pair<std::uint64_t, double>> shapes{
+        {std::uint64_t{1} << 20, 0.95}, // the cap
+        {40009, 0.0},
+        {1, 1.0},
+    };
+    for (const auto& w : WorkloadRegistry::all()) {
+        if (w.params.hotLines > 0) {
+            shapes.insert({w.params.hotLines, w.params.hotAlpha});
+        }
+    }
+    for (const auto& [size, alpha] : shapes) {
+        auto table = ZipfTable::get(size, alpha);
+        const std::vector<double>& cdf = table->cdf();
+        ASSERT_EQ(cdf.size(), size);
+        auto oracle = [&cdf](double u) {
+            auto r = static_cast<std::uint64_t>(
+                std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+            return std::min<std::uint64_t>(r, cdf.size() - 1);
+        };
+        const auto m = static_cast<std::uint64_t>(table->buckets());
+        EXPECT_GE(m, 2 * size);
+        EXPECT_EQ(m & (m - 1), 0u);
+        std::uint64_t mismatches = 0;
+        for (std::uint64_t k = 0; k < m; k++) {
+            const double edge = static_cast<double>(k) / table->buckets();
+            const double below = std::nextafter(edge, 0.0);
+            if (table->rank(edge) != oracle(edge)) mismatches++;
+            if (table->rank(below) != oracle(below)) mismatches++;
+        }
+        EXPECT_EQ(mismatches, 0u) << size << " ranks, alpha " << alpha;
+    }
+}
+
+TEST(SharedTables, ConcurrentBuildMatchesSerial)
+{
+    const WorkloadProfile& canneal = WorkloadRegistry::byName("canneal");
+    constexpr std::uint32_t kCores = 32;
+    constexpr std::uint32_t kThreads = 4;
+    constexpr std::size_t kRecords = 20000;
+
+    std::vector<std::uint64_t> serial;
+    for (std::uint32_t c = 0; c < kCores; c++) {
+        auto g = WorkloadRegistry::makeCoreGenerator(canneal, c, kCores, 3);
+        serial.push_back(streamChecksum(*g, kRecords));
+    }
+
+    // Every thread builds its cores while the others build theirs, so
+    // the interned tables are looked up and created concurrently; the
+    // generators stay alive until all threads are done.
+    std::vector<GeneratorPtr> gens(kCores);
+    std::vector<std::uint64_t> sums(kCores);
+    std::vector<std::thread> threads;
+    for (std::uint32_t t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            for (std::uint32_t c = t; c < kCores; c += kThreads) {
+                gens[c] = WorkloadRegistry::makeCoreGenerator(canneal, c,
+                                                              kCores, 3);
+            }
+            for (std::uint32_t c = t; c < kCores; c += kThreads) {
+                sums[c] = streamChecksum(*gens[c], kRecords);
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(sums, serial);
+}
+
+TEST(SharedTables, ShareAndExpireWithTheirGenerators)
+{
+    const std::size_t before = liveGeneratorTables();
+    const WorkloadProfile& canneal = WorkloadRegistry::byName("canneal");
+    std::weak_ptr<const ZipfTable> zipf;
+    {
+        std::vector<GeneratorPtr> gens;
+        for (std::uint32_t c = 0; c < 32; c++) {
+            gens.push_back(WorkloadRegistry::makeCoreGenerator(canneal, c,
+                                                               32, 4));
+        }
+        // One Zipf CDF (private and shared regions have the same shape),
+        // 32 private chase cycles plus the one shared cycle, and one gap
+        // table: 35, where per-core copies would be 160.
+        EXPECT_EQ(liveGeneratorTables() - before, 35u);
+        zipf = ZipfTable::get(canneal.params.hotLines,
+                              canneal.params.hotAlpha);
+        EXPECT_EQ(zipf.use_count(), 64);
+    }
+    EXPECT_TRUE(zipf.expired());
+    EXPECT_EQ(liveGeneratorTables(), before);
 }
 
 TEST(Composite, MixesComponentsByWeight)
